@@ -181,27 +181,36 @@ def cmd_experiment(args):
     baselines = config.get("baselines", ["raw", "tsvd", "global-shrink"])
     master_seed = config.get("seed", 0)
     out = config.get("output_dir", args.out)
+
+    cells = [
+        (f"{manifold}-{noise}-{alpha:.6g}", manifold, noise, alpha)
+        for manifold in manifolds
+        for noise in noises
+        for alpha in alphas
+    ]
+    names = [cell for cell, *_ in cells]
+    clashes = sorted({cell for cell in names if names.count(cell) > 1})
+    if clashes:
+        # each cell writes to a directory and takes a seed named after it
+        raise ValueError(f"experiment cells share a name: {', '.join(clashes)}")
     os.makedirs(out, exist_ok=True)
 
     rows = []
     failures = []
-    for manifold in manifolds:
-        for noise in noises:
-            for alpha in alphas:
-                cell = f"{manifold}-{noise}-{alpha:.6g}"
-                cell_dir = os.path.join(out, cell)
-                seed = _cell_seed(master_seed, cell)
-                try:
-                    rows.extend(
-                        _run_cell(
-                            p, n, manifold, noise, alpha,
-                            pipeline_args, baselines, seed, cell_dir,
-                        )
-                    )
-                    print(f"cell {cell}: ok")
-                except Exception as exc:  # a failing cell must not kill the run
-                    failures.append({"cell": cell, "error": str(exc)})
-                    print(f"cell {cell}: FAILED ({exc})", file=sys.stderr)
+    for cell, manifold, noise, alpha in cells:
+        cell_dir = os.path.join(out, cell)
+        seed = _cell_seed(master_seed, cell)
+        try:
+            rows.extend(
+                _run_cell(
+                    p, n, manifold, noise, alpha,
+                    pipeline_args, baselines, seed, cell_dir,
+                )
+            )
+            print(f"cell {cell}: ok")
+        except Exception as exc:  # a failing cell must not kill the run
+            failures.append({"cell": cell, "error": str(exc)})
+            print(f"cell {cell}: FAILED ({exc})", file=sys.stderr)
 
     summary_path = os.path.join(out, "summary.csv")
     fields = [

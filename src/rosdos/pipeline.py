@@ -1,6 +1,8 @@
 """The three-step manifold denoiser: global metric, local shrinkage metric,
 and k-NN entrywise-median recovery."""
 
+import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -33,6 +35,10 @@ class PipelineConfig:
             raise ValueError(
                 f"global_mode must be one of {_MODES}, got {self.global_mode!r}"
             )
+        for name in ("K", "k_local", "q_prime", "k_imp", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.k_local < self.K < n:
             raise ValueError(
                 f"need 1 <= k ({self.k_local}) < K ({self.K}) < n ({n})"
@@ -43,8 +49,12 @@ class PipelineConfig:
             raise ValueError(f"k_imp must be >= 1, got {self.k_imp}")
         if not 0 < self.gamma < 1:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.h != "auto" and not (np.isreal(self.h) and self.h > 0):
-            raise ValueError(f"h must be positive or 'auto', got {self.h!r}")
+        h = self.h
+        if h != "auto" and not (
+            isinstance(h, numbers.Real) and not isinstance(h, bool)
+            and math.isfinite(h) and h > 0
+        ):
+            raise ValueError(f"h must be positive and finite or 'auto', got {h!r}")
 
     def to_dict(self):
         return asdict(self)
@@ -60,17 +70,26 @@ class GlobalMetric:
         return float(np.linalg.norm(self.coords[i] - self.coords[j]))
 
     def neighborhoods(self, K, block=512):
-        """K nearest neighbor indices (excluding self) for every point."""
+        """K nearest neighbor indices (excluding self) for every point,
+        nearest first, ties by lowest index."""
         n = self.coords.shape[0]
         P = self.coords.T
         out = np.empty((n, K), dtype=int)
         for start in range(0, n, block):
             stop = min(start + block, n)
             D = pairwise_sq_dist(P[:, start:stop], P)
-            order = np.argsort(D, axis=1, kind="stable")
-            for r, i in enumerate(range(start, stop)):
-                row = order[r]
-                out[i] = row[row != i][:K]
+            D[np.arange(stop - start), np.arange(start, stop)] = np.inf
+            idx = np.argpartition(D, K - 1, axis=1)[:, :K]
+            kth = np.take_along_axis(D, idx, axis=1).max(axis=1)
+            # argpartition breaks ties at the K-th value arbitrarily; where
+            # more values tie there than fit, keep the lowest-index ones
+            surplus = np.count_nonzero(D <= kth[:, None], axis=1) > K
+            for r in np.flatnonzero(surplus):
+                below = np.flatnonzero(D[r] < kth[r])
+                ties = np.flatnonzero(D[r] == kth[r])[:K - below.size]
+                idx[r] = np.concatenate([below, ties])
+            d = np.take_along_axis(D, idx, axis=1)
+            out[start:stop] = np.take_along_axis(idx, np.lexsort((idx, d)), axis=1)
         return out
 
 

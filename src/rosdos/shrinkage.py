@@ -136,12 +136,24 @@ def shrink_singular_value(lam_i, est):
     return float(d)
 
 
+def _rank_estimates(spectrum, n, k):
+    """Bulk edge, rank threshold, effective rank, and the imputation count k
+    raised to effective_rank + 5 when the rank reaches it."""
+    edge = estimate_bulk_edge(spectrum, n)
+    r = estimate_effective_rank(spectrum, edge, n)
+    return edge, edge + n ** (-1.0 / 3.0), r, (r + 5 if r >= k else k)
+
+
 def eoptshrink(X, k=10, center=False):
     """Denoise X by nonlinear shrinkage of its singular values.
 
     k is the noise-eigenvalue imputation count; it is raised automatically to
     effective_rank + 5 when the detected rank reaches it. With center=True the
     mean column is removed before shrinkage and added back afterwards.
+
+    The spectrum and the left singular vectors come from the eigendecomposition
+    of the Gram matrix of the short side; the long-side singular vectors are
+    never formed.
     """
     X = as_matrix(X, "X")
     p, n = X.shape
@@ -161,24 +173,29 @@ def eoptshrink(X, k=10, center=False):
             f"{2 * max(k, m_edge) + 1} for k={k}, n={nw}"
         )
 
-    factors = svd(Xw)
-    spectrum = factors.singular ** 2
+    lam, vecs = np.linalg.eigh(Xw @ Xw.T)
+    spectrum = np.maximum(lam[::-1], 0.0)
+    left = vecs[:, ::-1]
+    edge, threshold, r, k_used = _rank_estimates(spectrum, nw, k)
+    # Forming the Gram matrix squares the condition number, so an eigenvalue
+    # below sqrt(eps) * lambda_max keeps few correct digits. When the smallest
+    # order statistic the estimators read is that small, use the SVD instead.
+    floor = spectrum[min(2 * max(k_used, m_edge), pw - 1)]
+    if floor < np.sqrt(np.finfo(float).eps) * spectrum[0]:
+        factors = svd(Xw)
+        spectrum, left = factors.singular ** 2, factors.left
+        edge, threshold, r, k_used = _rank_estimates(spectrum, nw, k)
     beta = pw / nw
     notes = []
 
-    edge = estimate_bulk_edge(spectrum, nw)
-    threshold = edge + nw ** (-1.0 / 3.0)
-    r = estimate_effective_rank(spectrum, edge, nw)
-
-    if r >= k:
-        k_new = r + 5
-        if spectrum.size >= 2 * k_new + 1:
-            notes.append(f"imputation count raised from {k} to {k_new}")
-            k = k_new
+    if k_used != k:
+        if spectrum.size >= 2 * k_used + 1:
+            notes.append(f"imputation count raised from {k} to {k_used}")
+            k = k_used
         else:
             raise ShrinkageError(
                 f"effective rank {r} >= k={k} and the spectrum is too short "
-                f"to raise k to {k_new}"
+                f"to raise k to {k_used}"
             )
 
     kept = []
@@ -201,7 +218,10 @@ def eoptshrink(X, k=10, center=False):
     kept = np.asarray(kept, dtype=int)
     shrunk = np.asarray(shrunk, dtype=float)
     if kept.size:
-        denoised = (factors.left[:, kept] * shrunk) @ factors.right[:, kept].T
+        # sum_i d_i u_i v_i^T with v_i = Xw^T u_i / sigma_i; the sign of each
+        # u_i cancels, so no sign convention is needed
+        U = left[:, kept]
+        denoised = (U * (shrunk / np.sqrt(spectrum[kept]))) @ (U.T @ Xw)
     else:
         denoised = np.zeros_like(Xw)
     if transposed:

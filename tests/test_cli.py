@@ -95,6 +95,12 @@ class TestDenoise:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "k" in err and "K" in err
+        code = run(
+            ["denoise", "--input", dataset / "noisy.csv", "--K", 50, "--k", 5,
+             "--h", "inf", "--out", tmp_path / "x"]
+        )
+        assert code == EXIT_USAGE
+        assert "h must be" in capsys.readouterr().err
 
     def test_missing_input_exit_one(self, tmp_path):
         assert run(
@@ -186,6 +192,22 @@ class TestExperiment:
         s1 = (outs[0] / "summary.csv").read_bytes()
         s2 = (outs[1] / "summary.csv").read_bytes()
         assert s1 == s2
+
+    def test_colliding_cell_names_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "grid"
+        cfg = {
+            "p": 60, "n": 400,
+            "manifolds": ["m1"], "noises": ["gaussian"],
+            "alphas": [1.0 / 3.0, 0.33333334],
+            "pipeline": {"K": 30, "k_local": 5},
+            "baselines": ["raw"], "seed": 0,
+            "output_dir": str(out),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["experiment", "--config", path]) == EXIT_USAGE
+        assert "m1-gaussian-0.333333" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_failing_cell_recorded(self, tmp_path):
         out = tmp_path / "grid"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rosdos.evaluation import nrmse
+from rosdos.numerics import pairwise_sq_dist
 from rosdos.pipeline import (
     MODE_GLOBAL_SHRINK,
     MODE_ROSELAND,
@@ -31,13 +32,23 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(K=100, k_local=5).validate(100)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("K", 50.5), ("k_local", 2.5), ("q_prime", 2.5), ("k_imp", 3.5),
+         ("K", True), ("seed", 1.5)],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(**{field: value}).validate(1000)
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             PipelineConfig(global_mode="magic").validate(1000)
 
     def test_bad_bandwidth(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(h=-1.0).validate(1000)
+        for h in (-1.0, 0.0, np.inf, np.nan, True, "1.0"):
+            with pytest.raises(ValueError, match="h must be"):
+                PipelineConfig(h=h).validate(1000)
 
 
 class TestGlobalMetric:
@@ -73,6 +84,22 @@ class TestGlobalMetric:
             order = np.argsort(d, kind="stable")
             ref = order[order != i][:7]
             assert np.array_equal(hoods[i], ref)
+
+    def test_neighborhoods_tie_break_matches_stable_argsort(self):
+        # integer points repeated: exact distance ties straddle the K-th place
+        rng = np.random.default_rng(5)
+        pts = rng.integers(0, 3, size=(60, 2)).astype(float)
+        m = GlobalMetric(kind="diffusion", coords=np.concatenate([pts, pts[:25]]))
+        P = m.coords.T
+        for K, block in [(7, 16), (30, 32), (84, 512)]:
+            ref = np.empty((P.shape[1], K), dtype=int)
+            for start in range(0, P.shape[1], block):
+                stop = min(start + block, P.shape[1])
+                D = pairwise_sq_dist(P[:, start:stop], P)
+                order = np.argsort(D, axis=1, kind="stable")
+                for r, i in enumerate(range(start, stop)):
+                    ref[i] = order[r][order[r] != i][:K]
+            assert np.array_equal(m.neighborhoods(K, block=block), ref)
 
     def test_noisy_m1_recall_beats_raw(self):
         p, n, K = 200, 2000, 100

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from rosdos.numerics import random_orthogonal
+from rosdos.numerics import random_orthogonal, svd
 from rosdos.shrinkage import (
     DegenerateShrinkageError,
     ShrinkageError,
@@ -278,3 +280,81 @@ class TestEoptShrink:
     def test_too_small_rejected(self):
         with pytest.raises(ShrinkageError):
             eoptshrink(np.ones((5, 30)))
+
+
+def svd_reference(X, k=10):
+    """eOptShrink computed from the thin SVD of X: the squared singular values
+    are the spectrum and the kept singular triplets rebuild the estimate."""
+    transposed = X.shape[0] > X.shape[1]
+    Xw = X.T if transposed else X
+    pw, nw = Xw.shape
+    f = svd(Xw)
+    lam = f.singular ** 2
+    edge = estimate_bulk_edge(lam, nw)
+    r = estimate_effective_rank(lam, edge, nw)
+    k = r + 5 if r >= k else k
+    kept, shrunk = [], []
+    if r > 0:
+        imputed = impute_noise_eigs(lam, k)
+        for i in range(r):
+            try:
+                est = stieltjes_estimates(lam, imputed, i, pw / nw)
+                shrunk.append(shrink_singular_value(lam[i], est))
+            except DegenerateShrinkageError:
+                continue
+            kept.append(i)
+    denoised = (f.left[:, kept] * shrunk) @ f.right[:, kept].T
+    return SimpleNamespace(
+        spectrum=lam, bulk_edge=edge, effective_rank=r,
+        kept=np.asarray(kept, dtype=int),
+        denoised=denoised.T if transposed else denoised,
+    )
+
+
+class TestAgainstSvdReference:
+    @pytest.fixture(scope="class")
+    def m1_separable(self):
+        from rosdos.synth import ManifoldSpec, NoiseSpec, make_dataset
+
+        return make_dataset(
+            ManifoldSpec("m1", 200, 1000, 0), NoiseSpec("separable", 1.0 / 3.0, 1)
+        ).noisy
+
+    def assert_matches(self, X):
+        out = eoptshrink(X)
+        ref = svd_reference(X)
+        assert np.max(np.abs(out.spectrum - ref.spectrum)) <= 1e-12 * ref.spectrum[0]
+        assert out.effective_rank == ref.effective_rank
+        assert np.array_equal(out.kept, ref.kept)
+        err = np.linalg.norm(out.denoised - ref.denoised)
+        assert err <= 1e-10 * np.linalg.norm(ref.denoised)
+        return out, ref
+
+    def test_local_patches(self, m1_separable):
+        from rosdos.pipeline import PipelineConfig, global_metric
+
+        X = m1_separable
+        hoods = global_metric(X, PipelineConfig()).neighborhoods(100)
+        ranks = set()
+        for i in range(0, X.shape[1], 50):
+            out, _ = self.assert_matches(X[:, np.concatenate([[i], hoods[i]])])
+            assert out.transposed
+            ranks.add(out.effective_rank)
+        assert len(ranks) > 1
+
+    def test_whole_matrix(self, m1_separable):
+        out, _ = self.assert_matches(m1_separable)
+        assert out.effective_rank > 0
+
+    def test_ill_conditioned_spike_uses_svd(self):
+        # a 1e8 spike over N(0, 1/n) noise: the squared condition number of
+        # the Gram matrix leaves the noise eigenvalues without correct digits
+        p, n = 100, 400
+        rng = np.random.default_rng(0)
+        u = rng.standard_normal(p)
+        v = rng.standard_normal(n)
+        X = 1e8 * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+        X += rng.standard_normal((p, n)) / np.sqrt(n)
+        out, ref = self.assert_matches(X)
+        assert out.effective_rank == 1
+        assert out.bulk_edge == pytest.approx(ref.bulk_edge, rel=1e-12)
