@@ -80,9 +80,18 @@ def knn(dists, k):
 
 
 def entrywise_median(columns):
-    """Coordinate-wise median over the columns of a p x m matrix."""
+    """Coordinate-wise median over the columns of a p x m matrix.
+
+    Sorts each row and takes the middle value, or the mean of the two middle
+    values for an even m; equal to np.median(M, axis=1), and faster on the
+    narrow blocks the recovery step passes.
+    """
     M = as_matrix(columns, "columns")
-    return np.median(M, axis=1)
+    S = np.sort(M, axis=1)
+    h = S.shape[1] // 2
+    if S.shape[1] % 2:
+        return S[:, h]
+    return (S[:, h - 1] + S[:, h]) / 2
 
 
 def random_orthogonal(dim, seed):

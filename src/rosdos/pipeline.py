@@ -5,6 +5,7 @@ import math
 import numbers
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -99,6 +100,8 @@ class Diagnostics:
     global_effective_rank: int | None
     local_ranks: list
     fallbacks: int
+    fallback_reasons: dict = field(default_factory=dict)  # message -> count
+    embedding_dim: int | None = None    # diffusion coordinates used (roseland)
     timings: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
 
@@ -139,32 +142,38 @@ def local_denoise(X, i, cfg, metric=None, neighbors=None):
 
 
 def _local_distances(Xi, cfg):
-    """Denoised distances from column 0 of a local patch; falls back to raw
-    Euclidean distances when the local shrinkage degenerates."""
+    """Denoised distances from column 0 of a local patch, its effective rank
+    and None; when the local shrinkage degenerates, raw Euclidean distances,
+    rank -1 and the reason."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             out = shrinkage.eoptshrink(Xi, k=cfg.k_imp)
         Sh = out.denoised
         d = np.linalg.norm(Sh - Sh[:, :1], axis=0)
-        return d, out.effective_rank, False
-    except shrinkage.ShrinkageError:
+        return d, out.effective_rank, None
+    except shrinkage.ShrinkageError as exc:
         d = np.linalg.norm(Xi - Xi[:, :1], axis=0)
-        return d, -1, True
+        return d, -1, str(exc)
 
 
-def recover_point(Xi, local_dists, k_local):
-    """Step 3: entrywise median of the k_local locally-nearest noisy columns."""
-    Xi = as_matrix(Xi, "Xi")
+def recover_point(X, patch, local_dists, k_local):
+    """Step 3: entrywise median of the k_local columns of X, among the
+    patch's, that are nearest in the local metric (ties by patch order).
+
+    Only the selected columns are read, so X is not checked as a whole.
+    """
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    patch = np.asarray(patch)
     d = np.asarray(local_dists, dtype=float)
-    if d.size != Xi.shape[1]:
+    if d.size != patch.size:
         raise ValueError("local_dists length must match the patch width")
-    if not 1 <= k_local <= Xi.shape[1]:
-        raise ValueError(
-            f"k_local must be in [1, {Xi.shape[1]}], got {k_local}"
-        )
-    sel = np.argsort(d, kind="stable")[:k_local]
-    return entrywise_median(Xi[:, sel])
+    if not 1 <= k_local <= patch.size:
+        raise ValueError(f"k_local must be in [1, {patch.size}], got {k_local}")
+    sel = patch[np.argsort(d, kind="stable")[:k_local]]
+    return entrywise_median(X[:, sel])
 
 
 def rosdos(X, cfg):
@@ -184,31 +193,43 @@ def rosdos(X, cfg):
     timings["neighborhoods"] = time.perf_counter() - t0
 
     skip_local = cfg.global_mode == MODE_SHRINK_ONLY
+    # row gathers from a C-ordered copy; denoised.T is F-ordered
+    coords = np.ascontiguousarray(metric.coords) if skip_local else None
     local_ranks = []
-    fallbacks = 0
+    fallback_reasons = Counter()
     recovered = np.empty_like(X)
     t0 = time.perf_counter()
     for i in range(n):
         patch = np.concatenate([[i], hoods[i]])
-        Xi = X[:, patch]
         if skip_local:
-            diffs = metric.coords[patch] - metric.coords[i]
-            dists = np.linalg.norm(diffs, axis=1)
+            dists = np.linalg.norm(coords[patch] - coords[i], axis=1)
         else:
-            dists, rank, fell_back = _local_distances(Xi, cfg)
+            dists, rank, reason = _local_distances(X[:, patch], cfg)
             local_ranks.append(rank)
-            fallbacks += fell_back
-        recovered[:, i] = recover_point(Xi, dists, cfg.k_local)
+            if reason is not None:
+                fallback_reasons[reason] += 1
+        recovered[:, i] = recover_point(X, patch, dists, cfg.k_local)
     timings["recovery"] = time.perf_counter() - t0
 
+    notes = list(global_out.warnings) if global_out is not None else []
+    embedding_dim = None
+    if metric.kind == "diffusion":
+        embedding_dim = metric.coords.shape[1]
+        if embedding_dim < cfg.q_prime:
+            notes.append(
+                f"embedding dimension cut from q_prime={cfg.q_prime} to "
+                f"{embedding_dim}, one less than the landmark count"
+            )
     diag = Diagnostics(
         global_mode=cfg.global_mode,
         global_effective_rank=(
             global_out.effective_rank if global_out is not None else None
         ),
         local_ranks=local_ranks,
-        fallbacks=fallbacks,
+        fallbacks=sum(fallback_reasons.values()),
+        fallback_reasons=dict(fallback_reasons),
+        embedding_dim=embedding_dim,
         timings=timings,
-        warnings=list(global_out.warnings) if global_out is not None else [],
+        warnings=notes,
     )
     return recovered, diag

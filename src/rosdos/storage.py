@@ -1,6 +1,7 @@
 """File formats: CSV matrices (one sample per line, 17 significant digits)
 and JSON metadata/metrics records."""
 
+import itertools
 import json
 
 import numpy as np
@@ -15,27 +16,27 @@ def save_matrix(path, M, header=None):
     round-trips doubles losslessly (17 significant digits).
     """
     M = as_matrix(M)
+    line = ",".join(["%.17g"] * M.shape[0]) + "\n"
     with open(path, "w") as fh:
         if header:
             for key, value in header.items():
                 fh.write(f"# {key}: {value}\n")
         for col in M.T:
-            fh.write(",".join(f"{v:.17g}" for v in col))
-            fh.write("\n")
+            fh.write(line % tuple(col))
 
 
 def load_matrix(path):
-    """Read a matrix written by save_matrix, returning the p x n array."""
-    rows = []
+    """Read a matrix written by save_matrix, returning the p x n array.
+
+    Blank lines and lines starting with '#' are skipped; rows of unequal
+    length raise ValueError.
+    """
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if not rows:
-        raise ValueError(f"{path} contains no data rows")
-    return np.asarray(rows, dtype=float).T
+        rows = (ln for ln in map(str.strip, fh) if ln and not ln.startswith("#"))
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{path} contains no data rows")
+        return np.loadtxt(itertools.chain([first], rows), delimiter=",", ndmin=2).T
 
 
 def save_vector(path, v, header=None):

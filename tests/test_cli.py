@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -239,3 +240,32 @@ class TestStorage:
         path.write_text("# comment\n\n1.0,2.0\n3.0,4.0\n")
         M = storage.load_matrix(path)
         assert np.array_equal(M, [[1.0, 3.0], [2.0, 4.0]])
+        path.write_text("  # indented\n \n1.0,2.0\n3.0,4.0\n")
+        assert np.array_equal(storage.load_matrix(path), M)
+
+    def test_saved_bytes_match_per_value_writer(self, tmp_path):
+        rng = np.random.default_rng(1)
+        M = rng.standard_normal((5, 9)) * 10.0 ** rng.integers(-300, 300, (5, 9))
+        M[0, 0], M[1, 1], M[2, 2] = -0.0, 5e-324, np.finfo(float).max
+        path = tmp_path / "m.csv"
+        storage.save_matrix(path, M, {"note": "x"})
+        expected = "# note: x\n" + "".join(
+            ",".join(f"{v:.17g}" for v in col) + "\n" for col in M.T
+        )
+        assert path.read_bytes() == expected.encode()
+        assert np.array_equal(storage.load_matrix(path), M)
+
+    @pytest.mark.parametrize("text", ["", "# a: 1\n# b: 2\n", "\n  \n"])
+    def test_no_data_rows_rejected(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="contains no data rows"):
+                storage.load_matrix(path)
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,2.0\n3.0\n")
+        with pytest.raises(ValueError):
+            storage.load_matrix(path)

@@ -126,6 +126,15 @@ class TestEntrywiseMedian:
         with pytest.raises(ValueError):
             entrywise_median(np.empty((3, 0)))
 
+    @pytest.mark.parametrize("width", range(1, 22))
+    def test_equals_numpy_median_with_ties(self, width):
+        rng = np.random.default_rng(width)
+        for scale in (1.0, 0.1, 1e300, -1e-300):
+            cols = rng.integers(0, 3, size=(40, width)) * scale
+            assert np.array_equal(entrywise_median(cols), np.median(cols, axis=1))
+        cols = rng.standard_normal((40, width))
+        assert np.array_equal(entrywise_median(cols), np.median(cols, axis=1))
+
 
 class TestRandomOrthogonal:
     def test_dim_one_sign_fix(self):

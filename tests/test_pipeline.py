@@ -9,6 +9,7 @@ from rosdos.pipeline import (
     MODE_SHRINK_ONLY,
     GlobalMetric,
     PipelineConfig,
+    _local_distances,
     global_metric,
     local_denoise,
     recover_point,
@@ -173,22 +174,22 @@ class TestRecoverPoint:
         rng = np.random.default_rng(4)
         Xi = rng.standard_normal((6, 10))
         d = np.concatenate([[0.0], rng.uniform(0.1, 1.0, 9)])
-        assert np.array_equal(recover_point(Xi, d, 1), Xi[:, 0])
+        assert np.array_equal(recover_point(Xi, np.arange(Xi.shape[1]), d, 1), Xi[:, 0])
 
     def test_median_example(self):
         Xi = np.array([[1.0, 2.0, 100.0]])
-        assert recover_point(Xi, [0.0, 0.1, 0.2], 3)[0] == 2.0
+        assert recover_point(Xi, np.arange(Xi.shape[1]), [0.0, 0.1, 0.2], 3)[0] == 2.0
 
     def test_tie_break_lowest_index(self):
         Xi = np.array([[5.0, 1.0, 2.0, 3.0]])
-        out = recover_point(Xi, [0.0, 0.5, 0.5, 0.5], 2)
+        out = recover_point(Xi, np.arange(Xi.shape[1]), [0.0, 0.5, 0.5, 0.5], 2)
         assert out[0] == 3.0  # columns 0 and 1 selected, median of (5, 1)
 
     def test_coordinate_bounds(self):
         rng = np.random.default_rng(5)
         Xi = rng.standard_normal((8, 20))
         d = np.concatenate([[0.0], rng.uniform(0.1, 2.0, 19)])
-        out = recover_point(Xi, d, 7)
+        out = recover_point(Xi, np.arange(Xi.shape[1]), d, 7)
         sel = np.argsort(d, kind="stable")[:7]
         assert np.all(out >= Xi[:, sel].min(axis=1) - 1e-15)
         assert np.all(out <= Xi[:, sel].max(axis=1) + 1e-15)
@@ -197,7 +198,7 @@ class TestRecoverPoint:
         theta = np.linspace(0.0, 0.4, 15)
         Xi = np.vstack([np.cos(theta), np.sin(theta)])
         d = np.linalg.norm(Xi - Xi[:, :1], axis=0)
-        out = recover_point(Xi, d, 5)
+        out = recover_point(Xi, np.arange(Xi.shape[1]), d, 5)
         sel = np.argsort(d, kind="stable")[:5]
         diam = max(
             np.linalg.norm(Xi[:, a] - Xi[:, b]) for a in sel for b in sel
@@ -206,10 +207,72 @@ class TestRecoverPoint:
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            recover_point(np.ones((2, 3)), [0.0, 1.0, 2.0], 4)
+            recover_point(np.ones((2, 3)), np.arange(3), [0.0, 1.0, 2.0], 4)
+
+    def test_reads_only_selected_columns(self):
+        X = np.arange(12.0).reshape(2, 6)
+        X[0, 5] = np.nan
+        patch = np.array([2, 0, 5, 3])
+        d = [0.0, 0.2, 0.9, 0.1]
+        assert np.array_equal(recover_point(X, patch, d, 3), [2.0, 8.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            recover_point(X, patch, d, 4)
+
+
+def reference_recovery(X, cfg):
+    """Reference recovery loop: gathers the whole patch X[:, patch], takes
+    np.median, and reads the global coordinates in the layout global_metric
+    returned."""
+    X = np.asarray(X, dtype=float)
+    metric = global_metric(X, cfg)
+    hoods = metric.neighborhoods(cfg.K)
+    out = np.empty_like(X)
+    for i in range(X.shape[1]):
+        patch = np.concatenate([[i], hoods[i]])
+        Xi = X[:, patch]
+        if cfg.global_mode == MODE_SHRINK_ONLY:
+            dists = np.linalg.norm(metric.coords[patch] - metric.coords[i], axis=1)
+        else:
+            dists, _, _ = _local_distances(Xi, cfg)
+        sel = np.argsort(dists, kind="stable")[: cfg.k_local]
+        out[:, i] = np.median(Xi[:, sel], axis=1)
+    return out
 
 
 class TestRosdos:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "mode", [MODE_ROSELAND, MODE_GLOBAL_SHRINK, MODE_SHRINK_ONLY]
+    )
+    def test_matches_reference_recovery(self, mode, order):
+        S, _ = sample_m1(60, 300, 11)
+        X = S + 0.5 * gaussian_noise(60, 300, 12) / np.sqrt(60)
+        X = np.asarray(X, order=order)
+        for k_local in (10, 7):
+            cfg = PipelineConfig(global_mode=mode, K=40, k_local=k_local, seed=0)
+            St, _ = rosdos(X, cfg)
+            assert np.array_equal(St, reference_recovery(X, cfg))
+
+    def test_fallback_reasons_recorded(self):
+        X = np.random.default_rng(13).standard_normal((3, 200))
+        _, diag = rosdos(X, PipelineConfig(K=30, k_local=5, seed=0))
+        assert diag.fallbacks == 200
+        assert diag.local_ranks == [-1] * 200
+        [(reason, count)] = diag.fallback_reasons.items()
+        assert reason.startswith("matrix too small") and count == 200
+        assert diag.to_dict()["fallback_reasons"] == {reason: 200}
+
+    def test_embedding_dim_reported(self):
+        X = np.random.default_rng(14).standard_normal((30, 64))
+        _, diag = rosdos(X, PipelineConfig(q_prime=50, K=30, k_local=5, seed=0))
+        assert diag.embedding_dim == 7
+        assert any("q_prime=50 to 7" in w for w in diag.warnings)
+        _, diag = rosdos(X, PipelineConfig(q_prime=5, K=30, k_local=5, seed=0))
+        assert diag.embedding_dim == 5
+        assert diag.warnings == []
+        cfg = PipelineConfig(global_mode=MODE_SHRINK_ONLY, K=30, k_local=5)
+        assert rosdos(X, cfg)[1].embedding_dim is None
+
     def test_duplicate_dataset_exact(self):
         rng = np.random.default_rng(6)
         base = 5.0 * rng.standard_normal((40, 3))
