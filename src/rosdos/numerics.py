@@ -94,16 +94,24 @@ def entrywise_median(columns):
     return (S[:, h - 1] + S[:, h]) / 2
 
 
+def haar_frame(G):
+    """Q factor of G's thin QR with column signs fixed so R's diagonal is >= 0.
+
+    For G with i.i.d. standard-normal entries this is a Haar-distributed
+    orthonormal frame of G's shape (Mezzadri 2007).
+    """
+    Q, R = np.linalg.qr(G)
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    return Q * signs[None, :]
+
+
 def random_orthogonal(dim, seed):
     """Haar-distributed orthogonal matrix via QR with positive-diagonal fix."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
-    G = rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(G)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    Q = Q * signs[None, :]
+    Q = haar_frame(rng.standard_normal((dim, dim)))
     # canonical orientation: flip columns so the diagonal of Q is positive
     signs = np.sign(np.diag(Q))
     signs[signs == 0] = 1.0

@@ -1,11 +1,12 @@
 """Synthetic manifold samplers, noise generators, and the mSNR diagnostic."""
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, random_orthogonal
+from .numerics import as_matrix, haar_frame, random_orthogonal
 
 
 @dataclass
@@ -79,6 +80,36 @@ def _symmetric_gaussian(p, rng):
     return np.triu(G) + np.triu(G, k=1).T
 
 
+def _times_b_half(left, d, rng_h, rng_f):
+    """left @ B^(1/2) with B^(1/2) = O diag(d) O^T for a Haar-distributed
+    n x n orthogonal O, sampled only where it acts: O(n p^2) work, no n x n
+    array.
+
+    With R = O^T and left^T = V C (thin QR, V is n x r, r = min(p, n)),
+    H = R V is a Haar r-frame. Given H, R^T maps H onto V and H's
+    complement onto V's complement by a uniformly random isometry. So with
+    Y = diag(d) H C, the result's transpose is V (H^T Y) plus a Haar frame
+    of V's complement applied to the coordinates of E = Y - H H^T Y in a
+    basis F of its column space; E has rank s = min(p, n - r), which is 0
+    when p >= n. The result has the same distribution as with a dense O.
+    """
+    p, n = left.shape
+    V, C = np.linalg.qr(left.T)
+    r = V.shape[1]
+    H = haar_frame(rng_h.standard_normal((n, r)))
+    Y = d[:, None] * (H @ C)
+    Yh = H.T @ Y
+    out = Yh.T @ V.T
+    s = min(p, n - r)
+    if s > 0:
+        E = Y - H @ Yh
+        F = np.linalg.qr(E)[0][:, :s]
+        G = rng_f.standard_normal((n, s))
+        Fp = haar_frame(G - V @ (V.T @ G))
+        out += (E.T @ F) @ Fp.T
+    return out
+
+
 def separable_noise(p, n, seed, with_row_cov=False):
     """Separable-covariance noise A^(1/2) Z B^(1/2).
 
@@ -122,14 +153,16 @@ def separable_noise(p, n, seed, with_row_cov=False):
     else:
         raise ValueError("could not obtain positive eigenvalues for B")
 
-    ss_q, ss_qb = ss[3].spawn(2)
+    ss_q, ss_h, ss_f = ss[3].spawn(3)
     Q = random_orthogonal(p, np.random.default_rng(ss_q))
-    Qb = random_orthogonal(n, np.random.default_rng(ss_qb))
     Z = rng_z.standard_t(5, size=(p, n)) / _T5_SD
 
-    # A^(1/2) Z = Q diag(sqrt(a)) Q^T Z, likewise on the right with B
+    # A^(1/2) Z = Q diag(sqrt(a)) Q^T Z
     left = Q @ (np.sqrt(a_eigs)[:, None] * (Q.T @ Z))
-    Xi = ((left @ Qb) * np.sqrt(b_eigs)[None, :]) @ Qb.T
+    Xi = _times_b_half(
+        left, np.sqrt(b_eigs),
+        np.random.default_rng(ss_h), np.random.default_rng(ss_f),
+    )
     if with_row_cov:
         return Xi, a_eigs, b_eigs, Q @ (a_eigs[:, None] * Q.T)
     return Xi, a_eigs, b_eigs
@@ -149,22 +182,28 @@ def msnr(S, Xi):
 
 
 def make_dataset(mspec, nspec):
-    """Generate a clean manifold sample plus scaled noise per the two specs."""
+    """Generate a clean manifold sample plus scaled noise per the two specs.
+
+    Both specs are checked before any sampler runs.
+    """
+    if mspec.kind not in ("m1", "m3"):
+        raise ValueError(f"unknown manifold kind {mspec.kind!r}")
+    if nspec.kind not in ("gaussian", "separable"):
+        raise ValueError(f"unknown noise kind {nspec.kind!r}")
+    alpha = nspec.alpha
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise ValueError(f"alpha must be a real number, got {alpha!r}")
+    if not math.isfinite(alpha) or alpha < 0:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+
     if mspec.kind == "m1":
         clean, latent = sample_m1(mspec.p, mspec.n, mspec.seed)
-    elif mspec.kind == "m3":
-        clean, latent = sample_klein(mspec.p, mspec.n, mspec.seed)
     else:
-        raise ValueError(f"unknown manifold kind {mspec.kind!r}")
-
+        clean, latent = sample_klein(mspec.p, mspec.n, mspec.seed)
     if nspec.kind == "gaussian":
         raw = gaussian_noise(mspec.p, mspec.n, nspec.seed)
-    elif nspec.kind == "separable":
-        raw, _, _ = separable_noise(mspec.p, mspec.n, nspec.seed)
     else:
-        raise ValueError(f"unknown noise kind {nspec.kind!r}")
-    if nspec.alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {nspec.alpha}")
+        raw, _, _ = separable_noise(mspec.p, mspec.n, nspec.seed)
 
     noise = raw / mspec.p ** nspec.alpha
     return SyntheticDataset(

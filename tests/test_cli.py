@@ -5,8 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from rosdos import storage
+from rosdos import cli, storage
 from rosdos.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from rosdos.evaluation import baseline_tsvd, summarize
+from rosdos.pipeline import PipelineConfig
+from rosdos.synth import ManifoldSpec, NoiseSpec, make_dataset
 
 
 def run(argv):
@@ -55,6 +58,15 @@ class TestSimulate:
             ["simulate", "--manifold", "m1", "--p", 3, "--n", 50,
              "--noise", "gaussian", "--alpha", 1, "--out", tmp_path]
         ) == EXIT_USAGE
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+    def test_bad_alpha_exit_two(self, tmp_path, capsys, alpha):
+        assert run(
+            ["simulate", "--manifold", "m1", "--p", 20, "--n", 30,
+             "--noise", "separable", "--alpha", alpha, "--out", tmp_path]
+        ) == EXIT_USAGE
+        assert "alpha" in capsys.readouterr().err
+        assert not (tmp_path / "noisy.csv").exists()
 
 
 @pytest.fixture
@@ -209,6 +221,47 @@ class TestExperiment:
         assert run(["experiment", "--config", path]) == EXIT_USAGE
         assert "m1-gaussian-0.333333" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_baselines_share_one_shrinkage(self, tmp_path, monkeypatch):
+        # tsvd and global-shrink reuse one whole-matrix shrinkage per cell, and
+        # their reports equal ones computed outside the CLI
+        out = tmp_path / "grid"
+        cfg = {
+            "p": 60, "n": 400,
+            "manifolds": ["m1"], "noises": ["gaussian", "separable"], "alphas": [0.5],
+            "pipeline": {"K": 30, "k_local": 5, "global_mode": "shrink-only"},
+            "baselines": ["raw", "tsvd", "global-shrink"], "seed": 4,
+            "output_dir": str(out),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        calls = []
+        real = cli.eoptshrink
+
+        def counting(X, **kwargs):
+            calls.append(X.shape)
+            return real(X, **kwargs)
+
+        monkeypatch.setattr(cli, "eoptshrink", counting)
+        assert run(["experiment", "--config", path]) == EXIT_OK
+        assert calls == [(60, 400), (60, 400)]
+
+        for noise in cfg["noises"]:
+            seed = cli._cell_seed(cfg["seed"], f"m1-{noise}-0.5")
+            ds = make_dataset(ManifoldSpec("m1", 60, 400, seed),
+                              NoiseSpec(noise, 0.5, seed + 1))
+            shrink = real(ds.noisy, k=PipelineConfig().k_imp)
+            expected = {
+                "tsvd": baseline_tsvd(ds.noisy, max(shrink.effective_rank, 1)),
+                "global-shrink": shrink.denoised,
+            }
+            for method, est in expected.items():
+                report = storage.load_json(
+                    out / f"m1-{noise}-0.5" / f"report_{method}.json")
+                want = summarize(ds.clean, est, noise=ds.noise).to_dict()
+                for key in ("nrmse", "nrmse_median", "nrmse_mean",
+                            "noise_ratio_median", "msnr_db"):
+                    assert report[key] == want[key], (noise, method, key)
 
     def test_failing_cell_recorded(self, tmp_path):
         out = tmp_path / "grid"

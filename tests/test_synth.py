@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from rosdos import synth
 from rosdos.synth import (
     ManifoldSpec,
     NoiseSpec,
@@ -11,6 +14,39 @@ from rosdos.synth import (
     sample_m1,
     separable_noise,
 )
+
+
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    two empirical distribution functions."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    Fa = np.searchsorted(a, grid, side="right") / a.size
+    Fb = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(Fa - Fb)))
+
+
+def dense_haar_reference(left, d, rng, draws):
+    """The n x n construction, batched over draws: left @ O diag(d) O^T with
+    O the QR factor of an n x n Gaussian under random_orthogonal's two sign
+    fixes (R's diagonal, then O's diagonal, made positive)."""
+    n = left.shape[1]
+    O, R = np.linalg.qr(rng.standard_normal((draws, n, n)))
+    O = O * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    O = O * np.sign(np.diagonal(O, axis1=1, axis2=2))[:, None, :]
+    return ((left @ O) * d) @ np.swapaxes(O, 1, 2)
+
+
+def noise_statistics(Xi):
+    """Xi[0,0], Xi[1,2], rows 0 and 1's inner product, column 0's squared
+    norm and the squared Frobenius norm, for one matrix or a stack."""
+    return np.stack([
+        Xi[..., 0, 0],
+        Xi[..., 1, 2],
+        np.sum(Xi[..., 0, :] * Xi[..., 1, :], axis=-1),
+        np.sum(Xi[..., :, 0] ** 2, axis=-1),
+        np.sum(Xi ** 2, axis=(-2, -1)),
+    ], axis=-1)
 
 
 class TestSampleM1:
@@ -140,6 +176,61 @@ class TestSeparableNoise:
         with pytest.raises(ValueError):
             separable_noise(2, 10, 0)
 
+    # p < n with n >= 2p, p < n < 2p, p = n and p > n
+    @pytest.mark.parametrize("p,n", [(3, 8), (3, 5), (4, 4), (5, 3)])
+    def test_matches_dense_haar_construction(self, p, n):
+        # conditional on a fixed left factor and B spectrum, the frame-based
+        # sampler and the n x n construction give the same distribution
+        draws = 20000
+        rng = np.random.default_rng(100 * p + n)
+        left = rng.standard_normal((p, n))
+        d = rng.uniform(0.5, 2.0, size=n)
+        rng_h, rng_f = np.random.default_rng(1), np.random.default_rng(2)
+        sampled = np.array([
+            noise_statistics(synth._times_b_half(left, d, rng_h, rng_f))
+            for _ in range(draws)
+        ])
+        reference = noise_statistics(
+            dense_haar_reference(left, d, np.random.default_rng(3), draws))
+        critical = 1.95 * math.sqrt(2.0 / draws)  # alpha = 0.001
+        gaps = [ks_statistic(sampled[:, j], reference[:, j]) for j in range(5)]
+        assert max(gaps) <= critical, gaps
+
+    def test_draws_rotation_only_of_size_p(self, monkeypatch):
+        dims = []
+        real = synth.random_orthogonal
+
+        def recording(dim, seed):
+            dims.append(dim)
+            return real(dim, seed)
+
+        monkeypatch.setattr(synth, "random_orthogonal", recording)
+        separable_noise(200, 2000, 0)
+        assert dims == [200]
+
+    def test_row_side_draws_unchanged(self):
+        # A's spectrum and rotation and B's spectrum come from the same random
+        # streams as the n x n construction's; only B's rotation is new
+        _, a_eigs, b_eigs, A = separable_noise(4, 6, 3, with_row_cov=True)
+        np.testing.assert_allclose(a_eigs, [
+            1.038726124900512, 0.26601191656268997,
+            0.4977744699406418, 0.46602058685602554,
+        ], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(b_eigs, [
+            0.1917506738320666, 0.32479513831353735, 0.29888753669928825,
+            1.0513923871703437, 1.306663991609196, 0.9453996902102805,
+        ], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(A, [
+            [0.7626487693698901, 0.16322845502197683,
+             -0.11842976176631514, 0.18778173140701948],
+            [0.1632284550219768, 0.5888834935088195,
+             -0.10164427846702571, 0.10477473575454763],
+            [-0.11842976176631512, -0.10164427846702571,
+             0.42676786314287934, -0.18616119584326185],
+            [0.1877817314070195, 0.10477473575454764,
+             -0.18616119584326185, 0.49023297223828055],
+        ], rtol=1e-12, atol=1e-15)
+
 
 class TestMsnr:
     def test_equal_energy_zero_db(self):
@@ -195,8 +286,23 @@ class TestMakeDataset:
         )
         assert abs(ds.msnr_db - (-4.2)) <= 2.0
 
-    def test_unknown_kinds_rejected(self):
-        with pytest.raises(ValueError):
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a sampler ran before the specs were checked")
+
+        for name in ("sample_m1", "sample_klein", "gaussian_noise", "separable_noise"):
+            monkeypatch.setattr(synth, name, fail)
+
+    def test_unknown_kinds_rejected(self, no_sampling):
+        with pytest.raises(ValueError, match="manifold"):
             make_dataset(ManifoldSpec("m9", 20, 30, 0), NoiseSpec("gaussian", 1.0, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="noise"):
             make_dataset(ManifoldSpec("m1", 20, 30, 0), NoiseSpec("pink", 1.0, 0))
+
+    @pytest.mark.parametrize(
+        "alpha", [-1.0, math.nan, math.inf, -math.inf, True, "0.5", None])
+    @pytest.mark.parametrize("noise", ["gaussian", "separable"])
+    def test_bad_alpha_rejected_before_sampling(self, no_sampling, alpha, noise):
+        with pytest.raises(ValueError, match="alpha"):
+            make_dataset(ManifoldSpec("m1", 200, 3000, 0), NoiseSpec(noise, alpha, 1))
