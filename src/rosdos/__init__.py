@@ -14,7 +14,6 @@ from .evaluation import ExperimentReport, baseline_tsvd, nrmse, summarize
 from .numerics import (
     SvdFactors,
     entrywise_median,
-    knn,
     pairwise_sq_dist,
     random_orthogonal,
     svd,

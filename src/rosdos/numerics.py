@@ -70,28 +70,26 @@ def pairwise_sq_dist(A, B):
     return D
 
 
-def knn(dists, k):
-    """Indices of the k smallest distances, ascending, ties by lowest index."""
-    d = np.asarray(dists, dtype=float).ravel()
-    if k < 1 or k > d.size:
-        raise ValueError(f"k must satisfy 1 <= k <= {d.size}, got {k}")
-    order = np.argsort(d, kind="stable")
-    return order[:k]
-
-
 def entrywise_median(columns):
-    """Coordinate-wise median over the columns of a p x m matrix.
+    """Median over the last axis: for a p x m matrix, the coordinate-wise
+    median of its m columns; for p x b x m, that of each of b column sets.
 
-    Sorts each row and takes the middle value, or the mean of the two middle
-    values for an even m; equal to np.median(M, axis=1), and faster on the
-    narrow blocks the recovery step passes.
+    Sorts along the last axis and takes the middle value, or the mean of the
+    two middle values for an even m; equal to np.median(M, axis=-1), and
+    faster on the narrow blocks the recovery step passes.
     """
-    M = as_matrix(columns, "columns")
-    S = np.sort(M, axis=1)
-    h = S.shape[1] // 2
-    if S.shape[1] % 2:
-        return S[:, h]
-    return (S[:, h - 1] + S[:, h]) / 2
+    M = np.asarray(columns, dtype=float)
+    if M.ndim < 2 or M.size == 0:
+        raise ValueError(
+            f"columns must be nonempty with 2 or more axes, got shape {M.shape}"
+        )
+    if not np.all(np.isfinite(M)):
+        raise ValueError("columns contains non-finite entries")
+    S = np.sort(M, axis=-1)
+    h = S.shape[-1] // 2
+    if S.shape[-1] % 2:
+        return S[..., h]
+    return (S[..., h - 1] + S[..., h]) / 2
 
 
 def haar_frame(G):
@@ -107,15 +105,12 @@ def haar_frame(G):
 
 
 def random_orthogonal(dim, seed):
-    """Haar-distributed orthogonal matrix via QR with positive-diagonal fix."""
+    """Haar-distributed dim x dim orthogonal matrix: haar_frame of a square
+    Gaussian."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
-    Q = haar_frame(rng.standard_normal((dim, dim)))
-    # canonical orientation: flip columns so the diagonal of Q is positive
-    signs = np.sign(np.diag(Q))
-    signs[signs == 0] = 1.0
-    return Q * signs[None, :]
+    return haar_frame(rng.standard_normal((dim, dim)))
 
 
 def round_half_up(x):

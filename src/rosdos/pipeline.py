@@ -18,6 +18,9 @@ MODE_GLOBAL_SHRINK = "global-shrink"
 MODE_SHRINK_ONLY = "shrink-only"
 _MODES = (MODE_ROSELAND, MODE_GLOBAL_SHRINK, MODE_SHRINK_ONLY)
 
+# temporary memory one recovery block may use; it sets the points per block
+_BLOCK_BYTES = 2 ** 21
+
 
 @dataclass
 class PipelineConfig:
@@ -70,11 +73,13 @@ class GlobalMetric:
     def distance(self, i, j):
         return float(np.linalg.norm(self.coords[i] - self.coords[j]))
 
-    def neighborhoods(self, K, block=512):
+    def neighborhoods(self, K, block=256):
         """K nearest neighbor indices (excluding self) for every point,
         nearest first, ties by lowest index."""
         n = self.coords.shape[0]
         P = self.coords.T
+        if P.shape[0] == 0:  # rank 0: every distance is 0
+            P = np.zeros((1, n))
         out = np.empty((n, K), dtype=int)
         for start in range(0, n, block):
             stop = min(start + block, n)
@@ -121,9 +126,7 @@ def global_metric(X, cfg):
         emb = diffusion.roseland_embed(X, landmarks, h, q, cfg.t)
         return GlobalMetric(kind="diffusion", coords=emb.coords)
     out = shrinkage.eoptshrink(X, k=cfg.k_imp)
-    return GlobalMetric(
-        kind="euclidean-denoised", coords=out.denoised.T, shrink=out
-    )
+    return GlobalMetric(kind="euclidean-denoised", coords=out.coords, shrink=out)
 
 
 def local_denoise(X, i, cfg, metric=None, neighbors=None):
@@ -149,8 +152,7 @@ def _local_distances(Xi, cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             out = shrinkage.eoptshrink(Xi, k=cfg.k_imp)
-        Sh = out.denoised
-        d = np.linalg.norm(Sh - Sh[:, :1], axis=0)
+        d = np.linalg.norm(out.coords - out.coords[0], axis=1)
         return d, out.effective_rank, None
     except shrinkage.ShrinkageError as exc:
         d = np.linalg.norm(Xi - Xi[:, :1], axis=0)
@@ -161,6 +163,8 @@ def recover_point(X, patch, local_dists, k_local):
     """Step 3: entrywise median of the k_local columns of X, among the
     patch's, that are nearest in the local metric (ties by patch order).
 
+    A 1-D patch gives one point (a p-vector); a b x m block of patches, with
+    local_dists of the same shape, gives b points (p x b), one per row.
     Only the selected columns are read, so X is not checked as a whole.
     """
     X = np.asarray(X)
@@ -168,11 +172,13 @@ def recover_point(X, patch, local_dists, k_local):
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
     patch = np.asarray(patch)
     d = np.asarray(local_dists, dtype=float)
-    if d.size != patch.size:
-        raise ValueError("local_dists length must match the patch width")
-    if not 1 <= k_local <= patch.size:
-        raise ValueError(f"k_local must be in [1, {patch.size}], got {k_local}")
-    sel = patch[np.argsort(d, kind="stable")[:k_local]]
+    if d.shape != patch.shape or patch.ndim not in (1, 2):
+        raise ValueError("local_dists must match the patch, one or two axes")
+    width = patch.shape[-1]
+    if not 1 <= k_local <= width:
+        raise ValueError(f"k_local must be in [1, {width}], got {k_local}")
+    order = np.argsort(d, axis=-1, kind="stable")[..., :k_local]
+    sel = np.take_along_axis(patch, order, axis=-1)
     return entrywise_median(X[:, sel])
 
 
@@ -193,22 +199,32 @@ def rosdos(X, cfg):
     timings["neighborhoods"] = time.perf_counter() - t0
 
     skip_local = cfg.global_mode == MODE_SHRINK_ONLY
-    # row gathers from a C-ordered copy; denoised.T is F-ordered
-    coords = np.ascontiguousarray(metric.coords) if skip_local else None
+    coords = metric.coords
+    width = cfg.K + 1
+    # per point: the gathered and the sorted k_local columns, and the
+    # patch's coordinate differences
+    per_point = 8 * (2 * p * cfg.k_local + 2 * width * coords.shape[1])
+    block = max(1, _BLOCK_BYTES // per_point)
     local_ranks = []
     fallback_reasons = Counter()
     recovered = np.empty_like(X)
     t0 = time.perf_counter()
-    for i in range(n):
-        patch = np.concatenate([[i], hoods[i]])
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        patches = np.empty((stop - start, width), dtype=int)
+        patches[:, 0] = np.arange(start, stop)
+        patches[:, 1:] = hoods[start:stop]
         if skip_local:
-            dists = np.linalg.norm(coords[patch] - coords[i], axis=1)
+            diff = coords[patches] - coords[start:stop, None]
+            dists = np.linalg.norm(diff, axis=2)
         else:
-            dists, rank, reason = _local_distances(X[:, patch], cfg)
-            local_ranks.append(rank)
-            if reason is not None:
-                fallback_reasons[reason] += 1
-        recovered[:, i] = recover_point(X, patch, dists, cfg.k_local)
+            dists = np.empty(patches.shape)
+            for row, patch in enumerate(patches):
+                dists[row], rank, reason = _local_distances(X[:, patch], cfg)
+                local_ranks.append(rank)
+                if reason is not None:
+                    fallback_reasons[reason] += 1
+        recovered[:, start:stop] = recover_point(X, patches, dists, cfg.k_local)
     timings["recovery"] = time.perf_counter() - t0
 
     notes = list(global_out.warnings) if global_out is not None else []

@@ -52,6 +52,7 @@ class ShrinkageOutput:
     shrunk: np.ndarray          # one value per kept component
     kept: np.ndarray            # indices (0-based) of kept components
     denoised: np.ndarray        # p x n, original orientation
+    coords: np.ndarray          # n x r, rows as far apart as denoised's columns
     aspect: float               # beta = min(p,n)/max(p,n)
     transposed: bool
     warnings: list = field(default_factory=list)
@@ -144,24 +145,19 @@ def _rank_estimates(spectrum, n, k):
     return edge, edge + n ** (-1.0 / 3.0), r, (r + 5 if r >= k else k)
 
 
-def eoptshrink(X, k=10, center=False):
+def eoptshrink(X, k=10):
     """Denoise X by nonlinear shrinkage of its singular values.
 
     k is the noise-eigenvalue imputation count; it is raised automatically to
-    effective_rank + 5 when the detected rank reaches it. With center=True the
-    mean column is removed before shrinkage and added back afterwards.
+    effective_rank + 5 when the detected rank reaches it.
 
     The spectrum and the left singular vectors come from the eigendecomposition
     of the Gram matrix of the short side; the long-side singular vectors are
-    never formed.
+    never formed. Besides the denoised matrix, the output carries its samples
+    in r coordinates (r kept components) with the same pairwise distances.
     """
     X = as_matrix(X, "X")
     p, n = X.shape
-    mean_col = None
-    if center:
-        mean_col = X.mean(axis=1, keepdims=True)
-        X = X - mean_col
-
     transposed = p > n
     Xw = X.T if transposed else X
     pw, nw = Xw.shape
@@ -175,6 +171,8 @@ def eoptshrink(X, k=10, center=False):
 
     lam, vecs = np.linalg.eigh(Xw @ Xw.T)
     spectrum = np.maximum(lam[::-1], 0.0)
+    if not np.all(np.isfinite(spectrum)):
+        raise ShrinkageError("non-finite spectrum: the Gram matrix of X overflows")
     left = vecs[:, ::-1]
     edge, threshold, r, k_used = _rank_estimates(spectrum, nw, k)
     # Forming the Gram matrix squares the condition number, so an eigenvalue
@@ -221,13 +219,22 @@ def eoptshrink(X, k=10, center=False):
         # sum_i d_i u_i v_i^T with v_i = Xw^T u_i / sigma_i; the sign of each
         # u_i cancels, so no sign convention is needed
         U = left[:, kept]
-        denoised = (U * (shrunk / np.sqrt(spectrum[kept]))) @ (U.T @ Xw)
+        UtX = U.T @ Xw
+        scale = shrunk / np.sqrt(spectrum[kept])
+        denoised = (U * scale) @ UtX
+        # U and the v_i have orthonormal columns, so the samples are as far
+        # apart as the rows of U diag(d) (samples on the short side) or of
+        # (diag(d / sigma) U^T Xw)^T (samples on the long side)
+        if transposed:
+            coords = np.multiply(U, shrunk, order="C")
+        else:
+            coords = np.ascontiguousarray(UtX.T)
+            coords *= scale
     else:
         denoised = np.zeros_like(Xw)
+        coords = np.zeros((n, 0))
     if transposed:
         denoised = denoised.T
-    if mean_col is not None:
-        denoised = denoised + mean_col
 
     for note in notes:
         warnings.warn(note, RuntimeWarning, stacklevel=2)
@@ -240,6 +247,7 @@ def eoptshrink(X, k=10, center=False):
         shrunk=shrunk,
         kept=kept,
         denoised=denoised,
+        coords=coords,
         aspect=beta,
         transposed=transposed,
         warnings=notes,

@@ -39,14 +39,6 @@ def load_matrix(path):
         return np.loadtxt(itertools.chain([first], rows), delimiter=",", ndmin=2).T
 
 
-def save_vector(path, v, header=None):
-    save_matrix(path, np.asarray(v, dtype=float).reshape(1, -1), header=header)
-
-
-def load_vector(path):
-    return load_matrix(path).ravel()
-
-
 def save_json(path, record):
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

@@ -218,6 +218,22 @@ class TestRecoverPoint:
         with pytest.raises(ValueError, match="non-finite"):
             recover_point(X, patch, d, 4)
 
+    @pytest.mark.parametrize("k", [1, 4, 5, 8])
+    def test_block_matches_single_points(self, k):
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((5, 30))
+        X[2, 29] = np.nan
+        # column 29 ends every patch, farthest, so it is never selected
+        patches = np.stack([np.append(rng.permutation(29)[:8], 29) for _ in range(6)])
+        d = rng.integers(0, 3, size=patches.shape).astype(float)  # many ties
+        d[:, -1] = 3.0
+        block = recover_point(X, patches, d, k)
+        assert block.shape == (5, 6)
+        for row in range(6):
+            assert np.array_equal(block[:, row], recover_point(X, patches[row], d[row], k))
+        with pytest.raises(ValueError, match="must match"):
+            recover_point(X, patches, d[:, :-1], k)
+
 
 def reference_recovery(X, cfg):
     """Reference recovery loop: gathers the whole patch X[:, patch], takes
@@ -252,6 +268,32 @@ class TestRosdos:
             cfg = PipelineConfig(global_mode=mode, K=40, k_local=k_local, seed=0)
             St, _ = rosdos(X, cfg)
             assert np.array_equal(St, reference_recovery(X, cfg))
+
+    @pytest.mark.filterwarnings("ignore:effective rank 0")
+    def test_rank_zero_shrink_only_matches_zero_metric(self):
+        X = 1e-3 * np.random.default_rng(17).standard_normal((30, 120))
+        cfg = PipelineConfig(global_mode=MODE_SHRINK_ONLY, K=20, k_local=5)
+        metric = global_metric(X, cfg)
+        assert metric.coords.shape == (120, 0)
+        # every distance is 0, so neighbors and selections go by lowest index
+        zero = GlobalMetric(kind="euclidean-denoised", coords=np.zeros((120, 30)))
+        hoods = zero.neighborhoods(cfg.K)
+        assert np.array_equal(metric.neighborhoods(cfg.K), hoods)
+        St, _ = rosdos(X, cfg)
+        for i in range(120):
+            sel = np.concatenate([[i], hoods[i]])[: cfg.k_local]
+            assert np.array_equal(St[:, i], np.median(X[:, sel], axis=1))
+
+    def test_overflowing_patches_fall_back(self):
+        # a common offset of squared norm 1e307 leaves the global distances
+        # finite, but each patch Gram matrix has an eigenvalue near 31 * 1e307
+        rng = np.random.default_rng(15)
+        X = np.sqrt(1e307 / 40) + 1e150 * rng.standard_normal((40, 200))
+        St, diag = rosdos(X, PipelineConfig(K=30, k_local=5, seed=0))
+        assert diag.fallbacks == 200
+        [(reason, count)] = diag.fallback_reasons.items()
+        assert reason.startswith("non-finite spectrum") and count == 200
+        assert np.all(np.isfinite(St))
 
     def test_fallback_reasons_recorded(self):
         X = np.random.default_rng(13).standard_normal((3, 200))

@@ -1,7 +1,9 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rosdos.numerics import random_orthogonal, svd
 from rosdos.shrinkage import (
@@ -280,6 +282,53 @@ class TestEoptShrink:
     def test_too_small_rejected(self):
         with pytest.raises(ShrinkageError):
             eoptshrink(np.ones((5, 30)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_overflowing_input_raises(self):
+        X = self.spiked()
+        # the Gram matrix overflows, and its eigenvalues come out NaN
+        with pytest.raises(ShrinkageError, match="non-finite spectrum"):
+            eoptshrink(1e155 * X)
+        # a finite Gram matrix whose top eigenvalue, 31 * 1e307, overflows
+        offset = np.sqrt(1e307 / 60) + 1e150 * X[:, :31]
+        with pytest.raises(ShrinkageError, match="non-finite spectrum"):
+            eoptshrink(offset)
+
+
+def column_distances(M):
+    """Pairwise Euclidean distances between the columns of M, from the
+    differences themselves."""
+    return np.linalg.norm(M[:, :, None] - M[:, None, :], axis=0)
+
+
+class TestCoords:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        transposed=st.booleans(),
+        rank=st.integers(0, 3),
+        exponent=st.integers(-100, 100),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_rows_as_far_apart_as_denoised_columns(
+        self, transposed, rank, exponent, seed
+    ):
+        rng = np.random.default_rng(seed)
+        p, n = 30, 90
+        U = np.linalg.qr(rng.standard_normal((p, 3)))[0][:, :rank]
+        V = np.linalg.qr(rng.standard_normal((n, 3)))[0][:, :rank]
+        X = (U * [8.0, 6.0, 4.0][:rank]) @ V.T
+        X = X + rng.standard_normal((p, n)) / np.sqrt(n)
+        X = 10.0 ** exponent * (X.T if transposed else X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out = eoptshrink(X)
+        assert out.transposed == transposed
+        assert out.coords.shape == (X.shape[1], out.kept.size)
+        assert out.coords.flags.c_contiguous
+        D = column_distances(out.denoised)
+        C = column_distances(out.coords.T)
+        assert np.all(np.abs(C - D) <= 1e-12 * D.max())
 
 
 def svd_reference(X, k=10):

@@ -28,8 +28,9 @@ def ks_statistic(a, b):
 
 def dense_haar_reference(left, d, rng, draws):
     """The n x n construction, batched over draws: left @ O diag(d) O^T with
-    O the QR factor of an n x n Gaussian under random_orthogonal's two sign
-    fixes (R's diagonal, then O's diagonal, made positive)."""
+    O the QR factor of an n x n Gaussian under two sign fixes (R's diagonal,
+    then O's diagonal, made positive); column signs cancel in O diag(d) O^T,
+    so the second fix does not change the distribution."""
     n = left.shape[1]
     O, R = np.linalg.qr(rng.standard_normal((draws, n, n)))
     O = O * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
