@@ -5,7 +5,6 @@ from .diffusion import (
     EmbeddingResult,
     affinity_complete,
     auto_bandwidth,
-    diffusion_distance,
     dm_embed,
     roseland_embed,
     select_landmarks,
@@ -23,7 +22,6 @@ from .pipeline import (
     GlobalMetric,
     PipelineConfig,
     global_metric,
-    local_denoise,
     recover_point,
     rosdos,
 )

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 import time
@@ -16,6 +17,8 @@ from .shrinkage import eoptshrink
 from .synth import ManifoldSpec, NoiseSpec, make_dataset
 
 ENV_OUTPUT_DIR = "ROSDOS_OUTPUT_DIR"
+
+_BASELINES = ("raw", "tsvd", "global-shrink")
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -44,6 +47,22 @@ def _pipeline_config(args, n):
         k_imp=args.k_imp,
         seed=args.seed,
     )
+    cfg.validate(n)
+    return cfg
+
+
+def _experiment_config(pipeline_args, n):
+    """The experiment's pipeline settings, checked once for all cells; each
+    cell sets its own seed."""
+    if not isinstance(pipeline_args, dict):
+        raise ValueError(f"pipeline must be an object, got {pipeline_args!r}")
+    keys = {f.name for f in dataclasses.fields(PipelineConfig)} - {"seed"}
+    unknown = sorted(set(pipeline_args) - keys)
+    if unknown:
+        raise ValueError(
+            f"unknown pipeline keys {unknown}; choose from {sorted(keys)}"
+        )
+    cfg = PipelineConfig(**pipeline_args)
     cfg.validate(n)
     return cfg
 
@@ -115,12 +134,11 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-def _run_cell(p, n, manifold, noise, alpha, pipeline_args, baselines, seed, out):
+def _run_cell(p, n, manifold, noise, alpha, cfg, baselines, seed, out):
     mspec = ManifoldSpec(kind=manifold, p=p, n=n, seed=seed)
     nspec = NoiseSpec(kind=noise, alpha=alpha, seed=seed + 1)
     ds = make_dataset(mspec, nspec)
-    cfg = PipelineConfig(seed=seed, **pipeline_args)
-    cfg.validate(n)
+    cfg = dataclasses.replace(cfg, seed=seed)
 
     os.makedirs(out, exist_ok=True)
     rows = []
@@ -144,10 +162,8 @@ def _run_cell(p, n, manifold, noise, alpha, pipeline_args, baselines, seed, out)
             est = ds.noisy
         elif name == "tsvd":
             est = baseline_tsvd(ds.noisy, max(shrink.effective_rank, 1))
-        elif name == "global-shrink":
+        else:  # global-shrink
             est = shrink.denoised
-        else:
-            raise ValueError(f"unknown baseline {name!r}")
         secs = time.perf_counter() - t0
         if name != "raw":
             secs += shared_secs
@@ -200,6 +216,12 @@ def cmd_experiment(args):
     if clashes:
         # each cell writes to a directory and takes a seed named after it
         raise ValueError(f"experiment cells share a name: {', '.join(clashes)}")
+    unknown = [name for name in baselines if name not in _BASELINES]
+    if unknown:
+        raise ValueError(
+            f"unknown baselines {unknown}; choose from {list(_BASELINES)}"
+        )
+    cfg = _experiment_config(pipeline_args, n)
     os.makedirs(out, exist_ok=True)
 
     rows = []
@@ -211,7 +233,7 @@ def cmd_experiment(args):
             rows.extend(
                 _run_cell(
                     p, n, manifold, noise, alpha,
-                    pipeline_args, baselines, seed, cell_dir,
+                    cfg, baselines, seed, cell_dir,
                 )
             )
             print(f"cell {cell}: ok")

@@ -155,8 +155,3 @@ def roseland_embed(X, landmarks, h, q_prime, t):
         diffusion_time=t,
         kind="ROSELAND",
     )
-
-
-def diffusion_distance(emb, i, j):
-    """Euclidean distance between two embedded points."""
-    return float(np.linalg.norm(emb.coords[i] - emb.coords[j]))

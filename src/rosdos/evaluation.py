@@ -1,10 +1,11 @@
 """Per-point error metrics, the TSVD baseline, and experiment reports."""
 
-from dataclasses import dataclass, field, asdict
+import copy
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import as_matrix, svd
+from .numerics import as_matrix, short_side_eigh, svd
 
 
 def nrmse(S, S_tilde):
@@ -21,15 +22,31 @@ def nrmse(S, S_tilde):
 
 
 def baseline_tsvd(X, r):
-    """Keep the top-r singular triplets unmodified."""
+    """Keep the top-r singular triplets unmodified.
+
+    The result is U_r U_r^T X, with U_r the top-r left singular vectors of
+    X's short side taken from the eigendecomposition of its Gram matrix; the
+    long-side singular vectors are never formed.
+    """
     X = as_matrix(X, "X")
     q = min(X.shape)
     if not 0 <= r <= q:
         raise ValueError(f"rank must be in [0, {q}], got {r}")
     if r == 0:
         return np.zeros_like(X)
-    f = svd(X)
-    return (f.left[:, :r] * f.singular[:r]) @ f.right[:, :r].T
+    # in power-of-two units the Gram matrix neither overflows nor underflows;
+    # the scaling is exact and cancels in U_r U_r^T X
+    exponent = np.frexp(np.max(np.abs(X)))[1]
+    _, transposed, spectrum, left = short_side_eigh(np.ldexp(X, -exponent))
+    # the Gram matrix squares the condition number: below sqrt(eps) * lambda_0
+    # it does not resolve the r-th component, so take the SVD instead
+    if spectrum[r - 1] <= np.sqrt(np.finfo(float).eps) * spectrum[0]:
+        f = svd(X)
+        return (f.left[:, :r] * f.singular[:r]) @ f.right[:, :r].T
+    U = left[:, :r]
+    if transposed:
+        return (X @ U) @ U.T
+    return U @ (U.T @ X)
 
 
 @dataclass
@@ -43,7 +60,8 @@ class ExperimentReport:
     config_echo: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return asdict(self)
+        # one level of copy; asdict would deep-copy every element of nrmse
+        return {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):

@@ -52,6 +52,20 @@ def svd(M):
     return SvdFactors(left=U, singular=s, right=V)
 
 
+def short_side_eigh(X):
+    """Eigendecomposition of the Gram matrix of X's short side.
+
+    Returns (Xw, transposed, spectrum, left): Xw is X with the short side
+    first (X.T when transposed), spectrum the eigenvalues of Xw Xw^T in
+    descending order, clipped at 0, and left their eigenvectors, the left
+    singular vectors of Xw.
+    """
+    transposed = X.shape[0] > X.shape[1]
+    Xw = X.T if transposed else X
+    lam, vecs = np.linalg.eigh(Xw @ Xw.T)
+    return Xw, transposed, np.maximum(lam[::-1], 0.0), vecs[:, ::-1]
+
+
 def pairwise_sq_dist(A, B):
     """Squared Euclidean distances between columns of A and columns of B."""
     A = as_matrix(A, "A")

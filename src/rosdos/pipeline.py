@@ -1,12 +1,13 @@
 """The three-step manifold denoiser: global metric, local shrinkage metric,
 and k-NN entrywise-median recovery."""
 
+import copy
 import math
 import numbers
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -111,7 +112,8 @@ class Diagnostics:
     warnings: list = field(default_factory=list)
 
     def to_dict(self):
-        return asdict(self)
+        # one level of copy; asdict would deep-copy every local rank
+        return {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
 
 
 def global_metric(X, cfg):
@@ -127,21 +129,6 @@ def global_metric(X, cfg):
         return GlobalMetric(kind="diffusion", coords=emb.coords)
     out = shrinkage.eoptshrink(X, k=cfg.k_imp)
     return GlobalMetric(kind="euclidean-denoised", coords=out.coords, shrink=out)
-
-
-def local_denoise(X, i, cfg, metric=None, neighbors=None):
-    """Step 2: shrink the K+1 local patch around point i and return its
-    neighborhood (self first) with the local denoised distances."""
-    X = as_matrix(X, "X")
-    cfg.validate(X.shape[1])
-    if neighbors is None:
-        if metric is None:
-            metric = global_metric(X, cfg)
-        neighbors = metric.neighborhoods(cfg.K)[i]
-    patch = np.concatenate([[i], np.asarray(neighbors, dtype=int)])
-    Xi = X[:, patch]
-    dists, _, _ = _local_distances(Xi, cfg)
-    return patch, dists
 
 
 def _local_distances(Xi, cfg):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import as_matrix, round_half_up, svd
+from .numerics import as_matrix, round_half_up, short_side_eigh, svd
 
 # 1 / (2^(2/3) - 1), the spread coefficient of the bulk-edge extrapolation
 _EDGE_COEF = 1.0 / (2.0 ** (2.0 / 3.0) - 1.0)
@@ -157,10 +157,7 @@ def eoptshrink(X, k=10):
     in r coordinates (r kept components) with the same pairwise distances.
     """
     X = as_matrix(X, "X")
-    p, n = X.shape
-    transposed = p > n
-    Xw = X.T if transposed else X
-    pw, nw = Xw.shape
+    pw, nw = sorted(X.shape)
 
     m_edge = round_half_up(nw ** 0.25)
     if pw <= 2 * max(k, m_edge) + 1:
@@ -169,11 +166,9 @@ def eoptshrink(X, k=10):
             f"{2 * max(k, m_edge) + 1} for k={k}, n={nw}"
         )
 
-    lam, vecs = np.linalg.eigh(Xw @ Xw.T)
-    spectrum = np.maximum(lam[::-1], 0.0)
+    Xw, transposed, spectrum, left = short_side_eigh(X)
     if not np.all(np.isfinite(spectrum)):
         raise ShrinkageError("non-finite spectrum: the Gram matrix of X overflows")
-    left = vecs[:, ::-1]
     edge, threshold, r, k_used = _rank_estimates(spectrum, nw, k)
     # Forming the Gram matrix squares the condition number, so an eigenvalue
     # below sqrt(eps) * lambda_max keeps few correct digits. When the smallest
@@ -232,7 +227,7 @@ def eoptshrink(X, k=10):
             coords *= scale
     else:
         denoised = np.zeros_like(Xw)
-        coords = np.zeros((n, 0))
+        coords = np.zeros((X.shape[1], 0))
     if transposed:
         denoised = denoised.T
 

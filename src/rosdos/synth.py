@@ -91,7 +91,8 @@ def _times_b_half(left, d, rng_h, rng_f):
     Y = diag(d) H C, the result's transpose is V (H^T Y) plus a Haar frame
     of V's complement applied to the coordinates of E = Y - H H^T Y in a
     basis F of its column space; E has rank s = min(p, n - r), which is 0
-    when p >= n. The result has the same distribution as with a dense O.
+    when p >= n, and those coordinates are the first s rows of E's R
+    factor. The result has the same distribution as with a dense O.
     """
     p, n = left.shape
     V, C = np.linalg.qr(left.T)
@@ -103,10 +104,11 @@ def _times_b_half(left, d, rng_h, rng_f):
     s = min(p, n - r)
     if s > 0:
         E = Y - H @ Yh
-        F = np.linalg.qr(E)[0][:, :s]
+        # with E = F R (thin QR), E^T F = R^T, so F itself is never formed
+        R = np.linalg.qr(E, mode="r")[:s]
         G = rng_f.standard_normal((n, s))
         Fp = haar_frame(G - V @ (V.T @ G))
-        out += (E.T @ F) @ Fp.T
+        out += R.T @ Fp.T
     return out
 
 

@@ -222,6 +222,26 @@ class TestExperiment:
         assert "m1-gaussian-0.333333" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("change,message", [
+        ({"pipeline": {"K": 400, "k_local": 5}}, "K (400) < n (400)"),
+        ({"pipeline": {"K": 30, "k_local": 5, "kk": 3}}, "unknown pipeline keys ['kk']"),
+        ({"pipeline": {"K": 30, "k_local": 5, "seed": 3}}, "unknown pipeline keys ['seed']"),
+        ({"baselines": ["raw", "svd"]}, "unknown baselines ['svd']"),
+    ])
+    def test_bad_config_exit_two_before_any_cell(
+        self, tmp_path, monkeypatch, capsys, change, message
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "make_dataset", fail)
+        out = tmp_path / "grid"
+        path = self.small_config(tmp_path, out)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+        assert run(["experiment", "--config", path]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_baselines_share_one_shrinkage(self, tmp_path, monkeypatch):
         # tsvd and global-shrink reuse one whole-matrix shrinkage per cell, and
         # their reports equal ones computed outside the CLI

@@ -4,7 +4,6 @@ import pytest
 from rosdos.diffusion import (
     affinity_complete,
     auto_bandwidth,
-    diffusion_distance,
     dm_embed,
     roseland_embed,
     select_landmarks,
@@ -171,24 +170,24 @@ class TestRoselandEmbed:
 
 
 class TestDiffusionDistance:
-    def embedding(self):
+    # the diffusion distance is the Euclidean distance between embedded points
+    def distances(self):
         rng = np.random.default_rng(10)
         X = rng.standard_normal((4, 50))
-        return dm_embed(X, auto_bandwidth(X), 5, 1)
+        c = dm_embed(X, auto_bandwidth(X), 5, 1).coords
+        return np.linalg.norm(c[:, None] - c[None], axis=2)
 
     def test_identity_and_symmetry(self):
-        emb = self.embedding()
-        assert diffusion_distance(emb, 3, 3) == 0.0
-        assert diffusion_distance(emb, 2, 7) == diffusion_distance(emb, 7, 2)
+        D = self.distances()
+        assert D[3, 3] == 0.0
+        assert D[2, 7] == D[7, 2]
 
     def test_triangle_inequality(self):
-        emb = self.embedding()
+        D = self.distances()
         rng = np.random.default_rng(11)
         for _ in range(50):
             i, j, k = rng.integers(0, 50, 3)
-            assert diffusion_distance(emb, i, j) <= diffusion_distance(
-                emb, i, k
-            ) + diffusion_distance(emb, k, j) + 1e-12
+            assert D[i, j] <= D[i, k] + D[k, j] + 1e-12
 
     def test_local_spearman_against_geodesic_on_m1(self):
         X, theta = sample_m1(60, 2000, 3)
@@ -201,6 +200,6 @@ class TestDiffusionDistance:
             ang = abs(theta[i] - theta[j])
             ang = min(ang, 2.0 * np.pi - ang)
             if i != j and ang < np.pi / 4:
-                dd.append(diffusion_distance(emb, i, j))
+                dd.append(np.linalg.norm(emb.coords[i] - emb.coords[j]))
                 geo.append(ang)
         assert spearman(dd, geo) >= 0.95

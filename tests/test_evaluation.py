@@ -1,7 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from rosdos import evaluation, numerics
 from rosdos.evaluation import ExperimentReport, baseline_tsvd, nrmse, summarize
+
+
+def tsvd_reference(X, r):
+    """The top-r singular triplets of X from its thin SVD."""
+    if r == 0:
+        return np.zeros_like(X)
+    f = numerics.svd(X)
+    return (f.left[:, :r] * f.singular[:r]) @ f.right[:, :r].T
 
 
 class TestNrmse:
@@ -58,6 +70,60 @@ class TestBaselineTsvd:
         with pytest.raises(ValueError):
             baseline_tsvd(np.ones((3, 5)), 4)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        short=st.integers(1, 8),
+        extra=st.integers(0, 12),
+        transposed=st.booleans(),
+        scale=st.one_of(
+            st.integers(-60, 60).map(lambda j: 2.0 ** j),
+            st.sampled_from([1e-155, 1e-150, 1e150, 1e155]),
+        ),
+        seed=st.integers(0, 2 ** 32 - 1),
+        data=st.data(),
+    )
+    def test_matches_svd_reference(self, short, extra, transposed, scale, seed, data):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((short, short + extra))
+        X = scale * (X.T if transposed else X)
+        r = data.draw(st.integers(0, short), label="r")
+        lam = np.append(np.linalg.svd(X / scale, compute_uv=False) ** 2, 0.0)
+        # the r-th component is resolved: lambda_(r-1) - lambda_r >= 1e-3 lambda_0
+        assume(r == 0 or lam[r - 1] - lam[r] >= 1e-3 * lam[0])
+        out = baseline_tsvd(X, r)
+        ref = tsvd_reference(X, r)
+        assert out.shape == X.shape
+        assert np.all(np.isfinite(out))
+        assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert np.any(out != 0) == np.any(ref != 0)
+
+    def test_svd_only_below_the_gram_resolution(self, monkeypatch):
+        calls = []
+
+        def counting(M):
+            calls.append(M.shape)
+            return numerics.svd(M)
+
+        monkeypatch.setattr(evaluation, "svd", counting)
+        rng = np.random.default_rng(7)
+        U = np.linalg.qr(rng.standard_normal((40, 3)))[0]
+        V = np.linalg.qr(rng.standard_normal((300, 3)))[0]
+        X = (U * [8.0, 6.0, 4.0]) @ V.T + 0.01 * rng.standard_normal((40, 300))
+        for M in (X, X.T):
+            np.testing.assert_allclose(
+                baseline_tsvd(M, 3), tsvd_reference(M, 3), rtol=0, atol=1e-12)
+        assert calls == []
+
+        # rank one: lambda_1 is rounding noise, under sqrt(eps) * lambda_0
+        X = np.outer(rng.standard_normal(40), rng.standard_normal(300))
+        np.testing.assert_allclose(
+            baseline_tsvd(X, 2), tsvd_reference(X, 2), rtol=0, atol=1e-12)
+        assert calls == [(40, 300)]
+
+        # lambda_0 = 0
+        assert np.all(baseline_tsvd(np.zeros((5, 3)), 2) == 0.0)
+        assert calls == [(40, 300), (5, 3)]
+
 
 class TestSummarize:
     def data(self):
@@ -89,6 +155,15 @@ class TestSummarize:
         med = 0.5 * (v[(n - 1) // 2] + v[n // 2])
         assert abs(rep.nrmse_median - med) < 1e-12
         assert abs(rep.nrmse_mean - np.mean(v)) < 1e-12
+
+    def test_to_dict_copies_one_level(self):
+        S, Xi = self.data()
+        rep = summarize(S, S + Xi, noise=Xi, config={"mode": "roseland"})
+        d = rep.to_dict()
+        assert d == dataclasses.asdict(rep)
+        d["nrmse"].append(0.0)
+        d["config_echo"]["mode"] = "shrink-only"
+        assert len(rep.nrmse) == 25 and rep.config_echo == {"mode": "roseland"}
 
     def test_round_trip(self):
         S, Xi = self.data()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from rosdos.pipeline import (
     PipelineConfig,
     _local_distances,
     global_metric,
-    local_denoise,
     recover_point,
     rosdos,
 )
@@ -126,8 +127,9 @@ class TestLocalDenoise:
     def test_identical_columns_zero_dists(self):
         X = np.tile(np.arange(30.0)[:, None], (1, 80))
         cfg = PipelineConfig(global_mode=MODE_GLOBAL_SHRINK, K=40, k_local=5)
-        patch, dists = local_denoise(X, 3, cfg, neighbors=np.arange(41)[np.arange(41) != 3][:40])
-        assert patch[0] == 3
+        patch = np.concatenate([[3], np.arange(41)[np.arange(41) != 3][:40]])
+        dists, _, _ = _local_distances(X[:, patch], cfg)
+        assert dists.shape == (41,)
         assert np.allclose(dists, 0.0, atol=1e-8)
 
     def test_noiseless_planar_patch(self):
@@ -137,8 +139,6 @@ class TestLocalDenoise:
         a, b = rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40)
         X = c[:, None] + np.outer(u, a) + np.outer(v, b)
         cfg = PipelineConfig(global_mode=MODE_GLOBAL_SHRINK, K=39, k_local=5)
-        from rosdos.pipeline import _local_distances
-
         dists, rank, fell_back = _local_distances(X, cfg)
         assert not fell_back
         assert rank <= 3
@@ -303,6 +303,7 @@ class TestRosdos:
         [(reason, count)] = diag.fallback_reasons.items()
         assert reason.startswith("matrix too small") and count == 200
         assert diag.to_dict()["fallback_reasons"] == {reason: 200}
+        assert diag.to_dict() == dataclasses.asdict(diag)
 
     def test_embedding_dim_reported(self):
         X = np.random.default_rng(14).standard_normal((30, 64))

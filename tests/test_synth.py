@@ -38,6 +38,26 @@ def dense_haar_reference(left, d, rng, draws):
     return ((left @ O) * d) @ np.swapaxes(O, 1, 2)
 
 
+def times_b_half_with_q(left, d, rng_h, rng_f):
+    """synth._times_b_half as first written: E's coordinates in the basis F
+    come from E^T F with F the thin QR's Q factor, not from the R factor."""
+    p, n = left.shape
+    V, C = np.linalg.qr(left.T)
+    r = V.shape[1]
+    H = synth.haar_frame(rng_h.standard_normal((n, r)))
+    Y = d[:, None] * (H @ C)
+    Yh = H.T @ Y
+    out = Yh.T @ V.T
+    s = min(p, n - r)
+    if s > 0:
+        E = Y - H @ Yh
+        F = np.linalg.qr(E)[0][:, :s]
+        G = rng_f.standard_normal((n, s))
+        Fp = synth.haar_frame(G - V @ (V.T @ G))
+        out += (E.T @ F) @ Fp.T
+    return out
+
+
 def noise_statistics(Xi):
     """Xi[0,0], Xi[1,2], rows 0 and 1's inner product, column 0's squared
     norm and the squared Frobenius norm, for one matrix or a stack."""
@@ -208,6 +228,17 @@ class TestSeparableNoise:
         monkeypatch.setattr(synth, "random_orthogonal", recording)
         separable_noise(200, 2000, 0)
         assert dims == [200]
+
+    # s = min(p, n - r) > 0 on all but (60, 40)
+    @pytest.mark.parametrize("p,n", [(200, 2000), (60, 100), (40, 300), (60, 40)])
+    def test_r_factor_matches_q_factor_construction(self, monkeypatch, p, n):
+        Xi, a_eigs, b_eigs, A = separable_noise(p, n, 5, with_row_cov=True)
+        monkeypatch.setattr(synth, "_times_b_half", times_b_half_with_q)
+        ref, ref_a, ref_b, ref_A = separable_noise(p, n, 5, with_row_cov=True)
+        assert np.max(np.abs(Xi - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(a_eigs, ref_a)
+        assert np.array_equal(b_eigs, ref_b)
+        assert np.array_equal(A, ref_A)
 
     def test_row_side_draws_unchanged(self):
         # A's spectrum and rotation and B's spectrum come from the same random
