@@ -3,6 +3,8 @@
 import argparse
 import csv
 import dataclasses
+import itertools
+import numbers
 import os
 import sys
 import time
@@ -14,7 +16,7 @@ from . import storage
 from .evaluation import baseline_tsvd, summarize
 from .pipeline import PipelineConfig, rosdos
 from .shrinkage import eoptshrink
-from .synth import ManifoldSpec, NoiseSpec, make_dataset
+from .synth import ManifoldSpec, NoiseSpec, check_specs, make_dataset
 
 ENV_OUTPUT_DIR = "ROSDOS_OUTPUT_DIR"
 
@@ -67,6 +69,13 @@ def _experiment_config(pipeline_args, n):
     return cfg
 
 
+def _save_diagnostics(out, diag, cfg, **extra):
+    """Write a rosdos run's diagnostics.json: its Diagnostics, its config and
+    the extra keys."""
+    record = {**diag.to_dict(), "config": cfg.to_dict(), **extra}
+    storage.save_json(os.path.join(out, "diagnostics.json"), record)
+
+
 def cmd_simulate(args):
     mspec = ManifoldSpec(kind=args.manifold, p=args.p, n=args.n, seed=args.seed)
     nspec = NoiseSpec(kind=args.noise, alpha=args.alpha, seed=args.seed + 1)
@@ -105,10 +114,7 @@ def cmd_denoise(args):
     storage.save_matrix(
         os.path.join(out, "denoised.csv"), denoised, {"config": cfg.to_dict()}
     )
-    record = diag.to_dict()
-    record["config"] = cfg.to_dict()
-    record["wallclock_seconds"] = elapsed
-    storage.save_json(os.path.join(out, "diagnostics.json"), record)
+    _save_diagnostics(out, diag, cfg, wallclock_seconds=elapsed)
     print(f"denoised {X.shape[0]}x{X.shape[1]} in {elapsed:.1f}s")
     return EXIT_OK
 
@@ -147,6 +153,7 @@ def _run_cell(p, n, manifold, noise, alpha, cfg, baselines, seed, out):
     denoised, diag = rosdos(ds.noisy, cfg)
     elapsed = time.perf_counter() - t0
     results = {"rosdos": (denoised, elapsed)}
+    extra = {"wallclock_seconds": elapsed}
 
     # tsvd and global-shrink share one whole-matrix shrinkage; each counts
     # its time as its own
@@ -155,6 +162,8 @@ def _run_cell(p, n, manifold, noise, alpha, cfg, baselines, seed, out):
         t0 = time.perf_counter()
         shrink = eoptshrink(ds.noisy, k=cfg.k_imp)
         shared_secs = time.perf_counter() - t0
+        extra["baseline_warnings"] = shrink.warnings
+    _save_diagnostics(out, diag, cfg, **extra)
 
     for name in baselines:
         t0 = time.perf_counter()
@@ -205,12 +214,20 @@ def cmd_experiment(args):
     master_seed = config.get("seed", 0)
     out = config.get("output_dir", args.out)
 
-    cells = [
-        (f"{manifold}-{noise}-{alpha:.6g}", manifold, noise, alpha)
-        for manifold in manifolds
-        for noise in noises
-        for alpha in alphas
-    ]
+    if isinstance(master_seed, bool) or not (
+        isinstance(master_seed, numbers.Integral) and master_seed >= 0
+    ):
+        raise ValueError(f"seed must be an integer >= 0, got {master_seed!r}")
+    for key, value in (("manifolds", manifolds), ("noises", noises),
+                       ("alphas", alphas), ("baselines", baselines)):
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a JSON array, got {value!r}")
+    grid = list(itertools.product(manifolds, noises, alphas))
+    if not grid:
+        raise ValueError("the experiment grid has no cells")
+    for manifold, noise, alpha in grid:
+        check_specs(ManifoldSpec(manifold, p, n, 0), NoiseSpec(noise, alpha, 0))
+    cells = [(f"{m}-{noise}-{alpha:.6g}", m, noise, alpha) for m, noise, alpha in grid]
     names = [cell for cell, *_ in cells]
     clashes = sorted({cell for cell in names if names.count(cell) > 1})
     if clashes:

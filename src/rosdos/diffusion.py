@@ -16,9 +16,6 @@ from .numerics import as_matrix, fix_signs, pairwise_sq_dist, round_half_up
 class EmbeddingResult:
     coords: np.ndarray          # n x q' embedded points
     spectrum: np.ndarray        # spectral factors used by the map
-    degrees: np.ndarray         # n positive degrees
-    diffusion_time: float
-    kind: str                   # "DM" | "ROSELAND"
 
 
 def affinity_complete(X, h):
@@ -98,9 +95,7 @@ def dm_embed(X, h, q_prime, t):
 
     lam = evals[1 : q_prime + 1]
     coords = u[:, 1 : q_prime + 1] * lam[None, :] ** t
-    return EmbeddingResult(
-        coords=coords, spectrum=lam, degrees=deg, diffusion_time=t, kind="DM"
-    )
+    return EmbeddingResult(coords=coords, spectrum=lam)
 
 
 def select_landmarks(X, gamma, seed):
@@ -148,10 +143,4 @@ def roseland_embed(X, landmarks, h, q_prime, t):
 
     spectral = s[1 : q_prime + 1] ** (2.0 * t)
     coords = U[:, 1 : q_prime + 1] * inv_sqrt[:, None] * spectral[None, :]
-    return EmbeddingResult(
-        coords=coords,
-        spectrum=spectral,
-        degrees=deg,
-        diffusion_time=t,
-        kind="ROSELAND",
-    )
+    return EmbeddingResult(coords=coords, spectrum=spectral)

@@ -63,10 +63,6 @@ class ExperimentReport:
         # one level of copy; asdict would deep-copy every element of nrmse
         return {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def summarize(S, S_tilde, noise=None, timing=0.0, config=None):
     """Aggregate per-point NRMSE and noise statistics into a report."""

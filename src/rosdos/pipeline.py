@@ -5,7 +5,6 @@ import copy
 import math
 import numbers
 import time
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field, fields, asdict
 
@@ -71,9 +70,6 @@ class GlobalMetric:
     coords: np.ndarray          # n x q points whose Euclidean metric is d_global
     shrink: object = None       # ShrinkageOutput when built from eoptshrink
 
-    def distance(self, i, j):
-        return float(np.linalg.norm(self.coords[i] - self.coords[j]))
-
     def neighborhoods(self, K, block=256):
         """K nearest neighbor indices (excluding self) for every point,
         nearest first, ties by lowest index."""
@@ -136,9 +132,7 @@ def _local_distances(Xi, cfg):
     and None; when the local shrinkage degenerates, raw Euclidean distances,
     rank -1 and the reason."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out = shrinkage.eoptshrink(Xi, k=cfg.k_imp)
+        out = shrinkage.eoptshrink(Xi, k=cfg.k_imp)
         d = np.linalg.norm(out.coords - out.coords[0], axis=1)
         return d, out.effective_rank, None
     except shrinkage.ShrinkageError as exc:

@@ -6,7 +6,6 @@ Stieltjes-transform quantities, and nonlinearly shrinks the kept singular
 values to produce the denoised low-rank matrix.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +52,6 @@ class ShrinkageOutput:
     kept: np.ndarray            # indices (0-based) of kept components
     denoised: np.ndarray        # p x n, original orientation
     coords: np.ndarray          # n x r, rows as far apart as denoised's columns
-    aspect: float               # beta = min(p,n)/max(p,n)
     transposed: bool
     warnings: list = field(default_factory=list)
 
@@ -155,6 +153,8 @@ def eoptshrink(X, k=10):
     of the Gram matrix of the short side; the long-side singular vectors are
     never formed. Besides the denoised matrix, the output carries its samples
     in r coordinates (r kept components) with the same pairwise distances.
+    Notes (a raised k, a dropped component, rank 0) are returned in
+    `warnings`; none is emitted.
     """
     X = as_matrix(X, "X")
     pw, nw = sorted(X.shape)
@@ -231,8 +231,6 @@ def eoptshrink(X, k=10):
     if transposed:
         denoised = denoised.T
 
-    for note in notes:
-        warnings.warn(note, RuntimeWarning, stacklevel=2)
     return ShrinkageOutput(
         spectrum=spectrum,
         bulk_edge=edge,
@@ -243,7 +241,6 @@ def eoptshrink(X, k=10):
         kept=kept,
         denoised=denoised,
         coords=coords,
-        aspect=beta,
         transposed=transposed,
         warnings=notes,
     )

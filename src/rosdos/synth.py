@@ -183,13 +183,16 @@ def msnr(S, Xi):
     return 10.0 * math.log10(tr_s / tr_x)
 
 
-def make_dataset(mspec, nspec):
-    """Generate a clean manifold sample plus scaled noise per the two specs.
-
-    Both specs are checked before any sampler runs.
-    """
+def check_specs(mspec, nspec):
+    """Raise ValueError unless the specs name a known manifold and noise, with
+    integer p and n and a finite alpha >= 0. The samplers check their own
+    size minimums."""
     if mspec.kind not in ("m1", "m3"):
         raise ValueError(f"unknown manifold kind {mspec.kind!r}")
+    for name in ("p", "n"):
+        value = getattr(mspec, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if nspec.kind not in ("gaussian", "separable"):
         raise ValueError(f"unknown noise kind {nspec.kind!r}")
     alpha = nspec.alpha
@@ -198,6 +201,13 @@ def make_dataset(mspec, nspec):
     if not math.isfinite(alpha) or alpha < 0:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
 
+
+def make_dataset(mspec, nspec):
+    """Generate a clean manifold sample plus scaled noise per the two specs.
+
+    Both specs are checked before any sampler runs.
+    """
+    check_specs(mspec, nspec)
     if mspec.kind == "m1":
         clean, latent = sample_m1(mspec.p, mspec.n, mspec.seed)
     else:

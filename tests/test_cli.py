@@ -227,6 +227,13 @@ class TestExperiment:
         ({"pipeline": {"K": 30, "k_local": 5, "kk": 3}}, "unknown pipeline keys ['kk']"),
         ({"pipeline": {"K": 30, "k_local": 5, "seed": 3}}, "unknown pipeline keys ['seed']"),
         ({"baselines": ["raw", "svd"]}, "unknown baselines ['svd']"),
+        ({"n": "400"}, "n must be an integer, got '400'"),
+        ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"manifolds": "m1"}, "manifolds must be a JSON array, got 'm1'"),
+        ({"manifolds": ["m2"]}, "unknown manifold kind 'm2'"),
+        ({"alphas": ["0.5"]}, "alpha must be a real number, got '0.5'"),
+        ({"noises": []}, "the experiment grid has no cells"),
     ])
     def test_bad_config_exit_two_before_any_cell(
         self, tmp_path, monkeypatch, capsys, change, message
@@ -283,11 +290,39 @@ class TestExperiment:
                             "noise_ratio_median", "msnr_db"):
                     assert report[key] == want[key], (noise, method, key)
 
-    def test_failing_cell_recorded(self, tmp_path):
+    def test_cell_diagnostics_written(self, tmp_path):
+        # each cell records its run's notes; at master seed 4 the baseline
+        # shrinkage of this cell reads rank 0
         out = tmp_path / "grid"
         cfg = {
-            "p": 60, "n": 400,
-            "manifolds": ["m1", "m9"], "noises": ["gaussian"], "alphas": [1.0],
+            "p": 50, "n": 400,
+            "manifolds": ["m1"], "noises": ["gaussian"], "alphas": [0],
+            "pipeline": {"q_prime": 50, "K": 30, "k_local": 5},
+            "baselines": ["raw", "tsvd", "global-shrink"], "seed": 4,
+            "output_dir": str(out),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["experiment", "--config", path]) == EXIT_OK
+        diag = storage.load_json(out / "m1-gaussian-0" / "diagnostics.json")
+        assert diag["embedding_dim"] == 19
+        assert any("q_prime=50 to 19" in w for w in diag["warnings"])
+        assert diag["baseline_warnings"] == ["effective rank 0: denoised matrix is zero"]
+        assert diag["config"]["seed"] == cli._cell_seed(4, "m1-gaussian-0")
+        assert len(diag["local_ranks"]) == 400
+
+        # without a shrinking baseline there is no baseline_warnings key
+        small = tmp_path / "small"
+        assert run(["experiment", "--config", self.small_config(tmp_path, small)]) == EXIT_OK
+        diag = storage.load_json(small / "m1-gaussian-1" / "diagnostics.json")
+        assert "baseline_warnings" not in diag and diag["warnings"] == []
+
+    def test_failing_cell_recorded(self, tmp_path):
+        # a valid config whose m1 cell fails in its sampler (p >= 5)
+        out = tmp_path / "grid"
+        cfg = {
+            "p": 4, "n": 400,
+            "manifolds": ["m1", "m3"], "noises": ["gaussian"], "alphas": [1.0],
             "pipeline": {"K": 30, "k_local": 5},
             "baselines": ["raw"], "seed": 0,
             "output_dir": str(out),
@@ -296,7 +331,9 @@ class TestExperiment:
         path.write_text(json.dumps(cfg))
         assert run(["experiment", "--config", path]) == EXIT_OK
         failures = storage.load_json(out / "failures.json")
-        assert len(failures) == 1 and "m9" in failures[0]["cell"]
+        assert failures == [
+            {"cell": "m1-gaussian-1", "error": "p must be >= 5, got 4"}
+        ]
 
 
 class TestStorage:

@@ -168,7 +168,7 @@ class TestSummarize:
     def test_round_trip(self):
         S, Xi = self.data()
         rep = summarize(S, S + Xi, noise=Xi, timing=1.25, config={"mode": "roseland"})
-        back = ExperimentReport.from_dict(rep.to_dict())
+        back = ExperimentReport(**rep.to_dict())
         assert np.allclose(back.nrmse, rep.nrmse, atol=1e-12)
         assert back.nrmse_median == pytest.approx(rep.nrmse_median, abs=1e-12)
         assert back.wallclock_seconds == rep.wallclock_seconds

@@ -332,6 +332,11 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match="noise"):
             make_dataset(ManifoldSpec("m1", 20, 30, 0), NoiseSpec("pink", 1.0, 0))
 
+    @pytest.mark.parametrize("p,n", [(20.0, 30), (True, 30), (20, "30"), (20, None)])
+    def test_non_integer_sizes_rejected_before_sampling(self, no_sampling, p, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_dataset(ManifoldSpec("m1", p, n, 0), NoiseSpec("gaussian", 1.0, 0))
+
     @pytest.mark.parametrize(
         "alpha", [-1.0, math.nan, math.inf, -math.inf, True, "0.5", None])
     @pytest.mark.parametrize("noise", ["gaussian", "separable"])
