@@ -204,6 +204,10 @@ def _run_cell(p, n, manifold, noise, alpha, cfg, baselines, seed, out):
 
 def cmd_experiment(args):
     config = storage.load_json(args.config)
+    if not isinstance(config, dict):
+        raise ValueError(
+            f"{args.config} must hold a JSON object, got {type(config).__name__}"
+        )
     p = config.get("p", 200)
     n = config.get("n", 5000)
     manifolds = config.get("manifolds", ["m1", "m3"])

@@ -11,15 +11,24 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from . import diffusion, shrinkage
-from .numerics import as_matrix, entrywise_median, pairwise_sq_dist
+from .numerics import as_matrix, entrywise_median
 
 MODE_ROSELAND = "roseland"
 MODE_GLOBAL_SHRINK = "global-shrink"
 MODE_SHRINK_ONLY = "shrink-only"
 _MODES = (MODE_ROSELAND, MODE_GLOBAL_SHRINK, MODE_SHRINK_ONLY)
 
-# temporary memory one recovery block may use; it sets the points per block
+# temporary memory one block of neighbor distances, or of recovered points,
+# may use; it sets the points per block
 _BLOCK_BYTES = 2 ** 21
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_positive_finite(value):
+    return _is_real(value) and math.isfinite(value) and value > 0
 
 
 @dataclass
@@ -51,13 +60,14 @@ class PipelineConfig:
             raise ValueError(f"q_prime must be >= 1, got {self.q_prime}")
         if self.k_imp < 1:
             raise ValueError(f"k_imp must be >= 1, got {self.k_imp}")
-        if not 0 < self.gamma < 1:
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
+        if not (_is_real(self.gamma) and 0 < self.gamma < 1):
+            raise ValueError(
+                f"gamma must be a real number in (0, 1), got {self.gamma!r}"
+            )
+        if not _is_positive_finite(self.t):
+            raise ValueError(f"t must be positive and finite, got {self.t!r}")
         h = self.h
-        if h != "auto" and not (
-            isinstance(h, numbers.Real) and not isinstance(h, bool)
-            and math.isfinite(h) and h > 0
-        ):
+        if h != "auto" and not _is_positive_finite(h):
             raise ValueError(f"h must be positive and finite or 'auto', got {h!r}")
 
     def to_dict(self):
@@ -70,17 +80,30 @@ class GlobalMetric:
     coords: np.ndarray          # n x q points whose Euclidean metric is d_global
     shrink: object = None       # ShrinkageOutput when built from eoptshrink
 
-    def neighborhoods(self, K, block=256):
+    def neighborhoods(self, K, block=None):
         """K nearest neighbor indices (excluding self) for every point,
-        nearest first, ties by lowest index."""
+        nearest first, ties by lowest index.
+
+        Takes block rows at a time; by default as many as keep one block of
+        squared distances within _BLOCK_BYTES.
+        """
         n = self.coords.shape[0]
         P = self.coords.T
         if P.shape[0] == 0:  # rank 0: every distance is 0
             P = np.zeros((1, n))
+        P = as_matrix(P, "coords")
+        if block is None:
+            block = max(1, _BLOCK_BYTES // (8 * n))
+        p2 = np.sum(P * P, axis=0)
         out = np.empty((n, K), dtype=int)
         for start in range(0, n, block):
             stop = min(start + block, n)
-            D = pairwise_sq_dist(P[:, start:stop], P)
+            # rounds entry for entry as pairwise_sq_dist does, without its
+            # temporaries: -2 G is exact, and addition commutes
+            D = P[:, start:stop].T @ P
+            D *= -2.0
+            D += np.add.outer(p2[start:stop], p2)
+            np.maximum(D, 0.0, out=D)
             D[np.arange(stop - start), np.arange(start, stop)] = np.inf
             idx = np.argpartition(D, K - 1, axis=1)[:, :K]
             kth = np.take_along_axis(D, idx, axis=1).max(axis=1)
@@ -181,6 +204,8 @@ def rosdos(X, cfg):
 
     skip_local = cfg.global_mode == MODE_SHRINK_ONLY
     coords = metric.coords
+    # sample-major copy: each gathered column is one contiguous read
+    Xf = np.asfortranarray(X)
     width = cfg.K + 1
     # per point: the gathered and the sorted k_local columns, and the
     # patch's coordinate differences
@@ -201,11 +226,11 @@ def rosdos(X, cfg):
         else:
             dists = np.empty(patches.shape)
             for row, patch in enumerate(patches):
-                dists[row], rank, reason = _local_distances(X[:, patch], cfg)
+                dists[row], rank, reason = _local_distances(Xf[:, patch], cfg)
                 local_ranks.append(rank)
                 if reason is not None:
                     fallback_reasons[reason] += 1
-        recovered[:, start:stop] = recover_point(X, patches, dists, cfg.k_local)
+        recovered[:, start:stop] = recover_point(Xf, patches, dists, cfg.k_local)
     timings["recovery"] = time.perf_counter() - t0
 
     notes = list(global_out.warnings) if global_out is not None else []

@@ -7,6 +7,7 @@ values to produce the denoised low-rank matrix.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -14,6 +15,8 @@ from .numerics import as_matrix, round_half_up, short_side_eigh, svd
 
 # 1 / (2^(2/3) - 1), the spread coefficient of the bulk-edge extrapolation
 _EDGE_COEF = 1.0 / (2.0 ** (2.0 / 3.0) - 1.0)
+
+_SQRT_EPS = np.sqrt(np.finfo(float).eps)
 
 
 class ShrinkageError(ValueError):
@@ -50,10 +53,25 @@ class ShrinkageOutput:
     imputed: np.ndarray
     shrunk: np.ndarray          # one value per kept component
     kept: np.ndarray            # indices (0-based) of kept components
-    denoised: np.ndarray        # p x n, original orientation
     coords: np.ndarray          # n x r, rows as far apart as denoised's columns
     transposed: bool
+    # denoised is formed from these: the kept left singular vectors U of Xw
+    # (X with the short side first), their d / sigma scales, and Xw itself
+    left: np.ndarray = field(repr=False)
+    scale: np.ndarray = field(repr=False)
+    short_side: np.ndarray = field(repr=False)
     warnings: list = field(default_factory=list)
+
+    @cached_property
+    def denoised(self):
+        """p x n, original orientation, formed on first read.
+
+        sum_i d_i u_i v_i^T with v_i = Xw^T u_i / sigma_i; the sign of each
+        u_i cancels, so no sign convention is needed.
+        """
+        U = self.left
+        denoised = (U * self.scale) @ (U.T @ self.short_side)
+        return denoised.T if self.transposed else denoised
 
 
 def estimate_bulk_edge(spectrum, n):
@@ -151,8 +169,10 @@ def eoptshrink(X, k=10):
 
     The spectrum and the left singular vectors come from the eigendecomposition
     of the Gram matrix of the short side; the long-side singular vectors are
-    never formed. Besides the denoised matrix, the output carries its samples
-    in r coordinates (r kept components) with the same pairwise distances.
+    never formed. The output carries the denoised samples in r coordinates
+    (r kept components) with the same pairwise distances; the p x n denoised
+    matrix is formed on the first read of `denoised`, from X itself, so X
+    must not change before then.
     Notes (a raised k, a dropped component, rank 0) are returned in
     `warnings`; none is emitted.
     """
@@ -174,7 +194,7 @@ def eoptshrink(X, k=10):
     # below sqrt(eps) * lambda_max keeps few correct digits. When the smallest
     # order statistic the estimators read is that small, use the SVD instead.
     floor = spectrum[min(2 * max(k_used, m_edge), pw - 1)]
-    if floor < np.sqrt(np.finfo(float).eps) * spectrum[0]:
+    if floor < _SQRT_EPS * spectrum[0]:
         factors = svd(Xw)
         spectrum, left = factors.singular ** 2, factors.left
         edge, threshold, r, k_used = _rank_estimates(spectrum, nw, k)
@@ -210,26 +230,16 @@ def eoptshrink(X, k=10):
 
     kept = np.asarray(kept, dtype=int)
     shrunk = np.asarray(shrunk, dtype=float)
-    if kept.size:
-        # sum_i d_i u_i v_i^T with v_i = Xw^T u_i / sigma_i; the sign of each
-        # u_i cancels, so no sign convention is needed
-        U = left[:, kept]
-        UtX = U.T @ Xw
-        scale = shrunk / np.sqrt(spectrum[kept])
-        denoised = (U * scale) @ UtX
-        # U and the v_i have orthonormal columns, so the samples are as far
-        # apart as the rows of U diag(d) (samples on the short side) or of
-        # (diag(d / sigma) U^T Xw)^T (samples on the long side)
-        if transposed:
-            coords = np.multiply(U, shrunk, order="C")
-        else:
-            coords = np.ascontiguousarray(UtX.T)
-            coords *= scale
-    else:
-        denoised = np.zeros_like(Xw)
-        coords = np.zeros((X.shape[1], 0))
+    U = left[:, kept]
+    scale = shrunk / np.sqrt(spectrum[kept])
+    # U and the v_i have orthonormal columns, so the samples are as far apart
+    # as the rows of U diag(d) (samples on the short side) or of
+    # (diag(d / sigma) U^T Xw)^T (samples on the long side)
     if transposed:
-        denoised = denoised.T
+        coords = np.multiply(U, shrunk, order="C")
+    else:
+        coords = np.ascontiguousarray((U.T @ Xw).T)
+        coords *= scale
 
     return ShrinkageOutput(
         spectrum=spectrum,
@@ -239,8 +249,10 @@ def eoptshrink(X, k=10):
         imputed=imputed,
         shrunk=shrunk,
         kept=kept,
-        denoised=denoised,
         coords=coords,
         transposed=transposed,
+        left=U,
+        scale=scale,
+        short_side=Xw,
         warnings=notes,
     )

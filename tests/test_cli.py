@@ -114,6 +114,14 @@ class TestDenoise:
         )
         assert code == EXIT_USAGE
         assert "h must be" in capsys.readouterr().err
+        for t in ("nan", "-1", "inf"):
+            code = run(
+                ["denoise", "--input", dataset / "noisy.csv", "--K", 50, "--k", 5,
+                 "--t", t, "--out", tmp_path / "x"]
+            )
+            assert code == EXIT_USAGE
+            assert "t must be positive and finite" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x")
 
     def test_missing_input_exit_one(self, tmp_path):
         assert run(
@@ -234,6 +242,12 @@ class TestExperiment:
         ({"manifolds": ["m2"]}, "unknown manifold kind 'm2'"),
         ({"alphas": ["0.5"]}, "alpha must be a real number, got '0.5'"),
         ({"noises": []}, "the experiment grid has no cells"),
+        ({"pipeline": {"K": 30, "k_local": 5, "gamma": "0.5"}},
+         "gamma must be a real number in (0, 1), got '0.5'"),
+        ({"pipeline": {"K": 30, "k_local": 5, "t": -1}},
+         "t must be positive and finite, got -1"),
+        ({"pipeline": {"K": 30, "k_local": 5, "t": "1"}},
+         "t must be positive and finite, got '1'"),
     ])
     def test_bad_config_exit_two_before_any_cell(
         self, tmp_path, monkeypatch, capsys, change, message
@@ -247,6 +261,16 @@ class TestExperiment:
         path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
         assert run(["experiment", "--config", path]) == EXIT_USAGE
         assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("config", [[1, 2], "m1", 3])
+    def test_config_not_an_object_exit_two(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "grid"
+        assert run(["experiment", "--config", path, "--out", out]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"must hold a JSON object, got {type(config).__name__}" in err
         assert not os.path.exists(out)
 
     def test_baselines_share_one_shrinkage(self, tmp_path, monkeypatch):

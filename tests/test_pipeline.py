@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from rosdos import pipeline, shrinkage
 from rosdos.evaluation import nrmse
 from rosdos.numerics import pairwise_sq_dist
 from rosdos.pipeline import (
@@ -52,9 +53,37 @@ class TestPipelineConfig:
             with pytest.raises(ValueError, match="h must be"):
                 PipelineConfig(h=h).validate(1000)
 
+    @pytest.mark.parametrize("gamma", ["0.5", None, True, 0.0, 1.0, np.nan])
+    def test_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be a real number"):
+            PipelineConfig(gamma=gamma).validate(1000)
+
+    @pytest.mark.parametrize("t", [-1, 0, 0.0, np.inf, np.nan, "1", True])
+    def test_bad_diffusion_time(self, t):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            PipelineConfig(t=t).validate(1000)
+
+    def test_real_gamma_and_t_accepted(self):
+        PipelineConfig(gamma=np.float64(0.25), t=0.5).validate(1000)
+        PipelineConfig(t=np.int64(3)).validate(1000)
+
 
 def metric_distance(m, i, j):
     return np.linalg.norm(m.coords[i] - m.coords[j])
+
+
+def reference_neighborhoods(coords, K, block):
+    """K nearest neighbors per point from per-block pairwise_sq_dist and a
+    stable argsort of each row, self excluded."""
+    P = coords.T
+    ref = np.empty((P.shape[1], K), dtype=int)
+    for start in range(0, P.shape[1], block):
+        stop = min(start + block, P.shape[1])
+        D = pairwise_sq_dist(P[:, start:stop], P)
+        order = np.argsort(D, axis=1, kind="stable")
+        for r, i in enumerate(range(start, stop)):
+            ref[i] = order[r][order[r] != i][:K]
+    return ref
 
 
 class TestGlobalMetric:
@@ -96,16 +125,24 @@ class TestGlobalMetric:
         rng = np.random.default_rng(5)
         pts = rng.integers(0, 3, size=(60, 2)).astype(float)
         m = GlobalMetric(kind="diffusion", coords=np.concatenate([pts, pts[:25]]))
-        P = m.coords.T
         for K, block in [(7, 16), (30, 32), (84, 512)]:
-            ref = np.empty((P.shape[1], K), dtype=int)
-            for start in range(0, P.shape[1], block):
-                stop = min(start + block, P.shape[1])
-                D = pairwise_sq_dist(P[:, start:stop], P)
-                order = np.argsort(D, axis=1, kind="stable")
-                for r, i in enumerate(range(start, stop)):
-                    ref[i] = order[r][order[r] != i][:K]
+            ref = reference_neighborhoods(m.coords, K, block)
             assert np.array_equal(m.neighborhoods(K, block=block), ref)
+
+    @pytest.mark.parametrize("n", [100, 600, 1100])
+    def test_neighborhoods_default_block_matches_reference(self, n):
+        # the default block holds _BLOCK_BYTES of distances: one block at
+        # n=100; 436 rows at n=600 and 238 at n=1100, neither dividing n
+        block = pipeline._BLOCK_BYTES // (8 * n)
+        assert (n < block) == (n == 100)
+        assert n == 100 or n % block
+        rng = np.random.default_rng(n)
+        coords = rng.integers(0, 4, size=(n, 3)).astype(float)  # many ties
+        m = GlobalMetric(kind="diffusion", coords=coords)
+        for K in (5, 40):
+            ref = reference_neighborhoods(coords, K, block)
+            assert np.array_equal(m.neighborhoods(K), ref)
+            assert np.array_equal(m.neighborhoods(K, block=97), ref)
 
     def test_noisy_m1_recall_beats_raw(self):
         p, n, K = 200, 2000, 100
@@ -272,6 +309,40 @@ class TestRosdos:
             cfg = PipelineConfig(global_mode=mode, K=40, k_local=k_local, seed=0)
             St, _ = rosdos(X, cfg)
             assert np.array_equal(St, reference_recovery(X, cfg))
+
+    @pytest.mark.parametrize("mode", [MODE_ROSELAND, MODE_SHRINK_ONLY])
+    def test_same_output_for_every_layout(self, mode):
+        # a C-ordered X, its Fortran-ordered copy (as load_matrix returns)
+        # and a column slice of a wider array give bit-identical results
+        S, _ = sample_m1(40, 240, 21)
+        X = S + 0.5 * gaussian_noise(40, 240, 22) / np.sqrt(40)
+        wide = np.zeros((40, 250))
+        wide[:, 7:247] = X
+        cfg = PipelineConfig(global_mode=mode, K=30, k_local=6, seed=0)
+        ref, ref_diag = rosdos(X, cfg)
+        assert ref.flags.c_contiguous
+        for Y in (np.asfortranarray(X), wide[:, 7:247]):
+            St, diag = rosdos(Y, cfg)
+            assert St.tobytes() == ref.tobytes()
+            assert diag.local_ranks == ref_diag.local_ranks
+            assert diag.fallback_reasons == ref_diag.fallback_reasons
+        assert rosdos(np.asfortranarray(X), cfg)[0].flags.f_contiguous
+
+    @pytest.mark.parametrize("mode", [MODE_ROSELAND, MODE_SHRINK_ONLY])
+    def test_shrinkages_form_no_denoised_matrix(self, mode, monkeypatch):
+        outputs = []
+        real = shrinkage.eoptshrink
+
+        def keep(X, **kwargs):
+            outputs.append(real(X, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(shrinkage, "eoptshrink", keep)
+        X = np.random.default_rng(23).standard_normal((30, 120))
+        _, diag = rosdos(X, PipelineConfig(global_mode=mode, K=40, k_local=5, seed=0))
+        assert diag.fallbacks == 0
+        assert len(outputs) == (1 if mode == MODE_SHRINK_ONLY else 120)
+        assert all("denoised" not in vars(out) for out in outputs)
 
     def test_rank_zero_shrink_only_matches_zero_metric(self):
         X = 1e-3 * np.random.default_rng(17).standard_normal((30, 120))

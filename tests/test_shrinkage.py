@@ -357,6 +357,18 @@ def svd_reference(X, k=10):
     )
 
 
+def ill_conditioned_spike():
+    """A 1e8 spike over N(0, 1/n) noise: the squared condition number of the
+    Gram matrix leaves the noise eigenvalues without correct digits, so
+    eoptshrink takes the SVD."""
+    p, n = 100, 400
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(p)
+    v = rng.standard_normal(n)
+    X = 1e8 * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+    return X + rng.standard_normal((p, n)) / np.sqrt(n)
+
+
 class TestAgainstSvdReference:
     @pytest.fixture(scope="class")
     def m1_separable(self):
@@ -393,14 +405,56 @@ class TestAgainstSvdReference:
         assert out.effective_rank > 0
 
     def test_ill_conditioned_spike_uses_svd(self):
-        # a 1e8 spike over N(0, 1/n) noise: the squared condition number of
-        # the Gram matrix leaves the noise eigenvalues without correct digits
-        p, n = 100, 400
-        rng = np.random.default_rng(0)
-        u = rng.standard_normal(p)
-        v = rng.standard_normal(n)
-        X = 1e8 * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
-        X += rng.standard_normal((p, n)) / np.sqrt(n)
-        out, ref = self.assert_matches(X)
+        out, ref = self.assert_matches(ill_conditioned_spike())
         assert out.effective_rank == 1
         assert out.bulk_edge == pytest.approx(ref.bulk_edge, rel=1e-12)
+
+
+def eager_denoised(X, out):
+    """The reconstruction eoptshrink formed on every call before `denoised`
+    was formed on first read."""
+    Xw = X.T if out.transposed else X
+    if out.kept.size:
+        U = out.left
+        UtX = U.T @ Xw
+        scale = out.shrunk / np.sqrt(out.spectrum[out.kept])
+        denoised = (U * scale) @ UtX
+    else:
+        denoised = np.zeros_like(Xw)
+    return denoised.T if out.transposed else denoised
+
+
+class TestLazyDenoised:
+    def assert_eager_equal(self, X):
+        out = eoptshrink(X)
+        assert "denoised" not in vars(out)
+        want = eager_denoised(X, out)
+        got = out.denoised
+        assert got.shape == X.shape
+        assert got.tobytes() == want.tobytes()
+        assert out.denoised is got  # formed once
+        return out
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_spiked(self, transpose):
+        X = TestEoptShrink().spiked(seed=7)
+        out = self.assert_eager_equal(X.T if transpose else X)
+        assert out.transposed == transpose
+        assert out.effective_rank == 3
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_rank_zero(self, transpose):
+        X = 1e-3 * np.random.default_rng(17).standard_normal((30, 120))
+        out = self.assert_eager_equal(X.T if transpose else X)
+        assert out.effective_rank == 0 and out.kept.size == 0
+        assert np.all(out.denoised == 0.0)
+
+    def test_svd_fallback(self, monkeypatch):
+        from rosdos import shrinkage
+
+        calls = []
+        real = shrinkage.svd
+        monkeypatch.setattr(shrinkage, "svd", lambda M: calls.append(1) or real(M))
+        out = self.assert_eager_equal(ill_conditioned_spike())
+        assert calls == [1]
+        assert out.effective_rank == 1
