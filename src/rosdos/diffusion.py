@@ -117,7 +117,8 @@ def roseland_embed(X, landmarks, h, q_prime, t):
 
     Unlike the complete-graph kernel, the sample-to-landmark affinity keeps
     coincident pairs at affinity 1. Singular values are nonnegative, so any
-    real diffusion time t > 0 is valid.
+    real diffusion time t > 0 is valid, up to the t at which the leading
+    factor s_1^(2t) underflows (ValueError).
     """
     X = as_matrix(X, "X")
     if h <= 0:
@@ -142,5 +143,11 @@ def roseland_embed(X, landmarks, h, q_prime, t):
     U = fix_signs(U)
 
     spectral = s[1 : q_prime + 1] ** (2.0 * t)
+    # an underflowed factor would zero every diffusion distance
+    if spectral[0] < np.finfo(float).tiny:
+        raise ValueError(
+            f"diffusion time t={t} is too large: the leading spectral factor "
+            f"{s[1]:.6g}^(2t) underflows"
+        )
     coords = U[:, 1 : q_prime + 1] * inv_sqrt[:, None] * spectral[None, :]
     return EmbeddingResult(coords=coords, spectrum=spectral)

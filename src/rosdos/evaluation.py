@@ -5,7 +5,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import as_matrix, short_side_eigh, svd
+from .numerics import as_matrix, kept_eigenvectors, short_side_spectrum, svd
 
 
 def nrmse(S, S_tilde):
@@ -25,8 +25,9 @@ def baseline_tsvd(X, r):
     """Keep the top-r singular triplets unmodified.
 
     The result is U_r U_r^T X, with U_r the top-r left singular vectors of
-    X's short side taken from the eigendecomposition of its Gram matrix; the
-    long-side singular vectors are never formed.
+    X's short side taken by inverse iteration on its Gram matrix (see
+    numerics.kept_eigenvectors); the long-side singular vectors are never
+    formed.
     """
     X = as_matrix(X, "X")
     q = min(X.shape)
@@ -37,13 +38,16 @@ def baseline_tsvd(X, r):
     # in power-of-two units the Gram matrix neither overflows nor underflows;
     # the scaling is exact and cancels in U_r U_r^T X
     exponent = np.frexp(np.max(np.abs(X)))[1]
-    _, transposed, spectrum, left = short_side_eigh(np.ldexp(X, -exponent))
+    _, transposed, gram, spectrum = short_side_spectrum(np.ldexp(X, -exponent))
     # the Gram matrix squares the condition number: below sqrt(eps) * lambda_0
-    # it does not resolve the r-th component, so take the SVD instead
-    if spectrum[r - 1] <= np.sqrt(np.finfo(float).eps) * spectrum[0]:
+    # it does not resolve the r-th component, so take the SVD instead; so too
+    # when the top-r eigenvectors fail their checks
+    U = None
+    if spectrum[r - 1] > np.sqrt(np.finfo(float).eps) * spectrum[0]:
+        U = kept_eigenvectors(gram, spectrum, np.arange(r))
+    if U is None:
         f = svd(X)
         return (f.left[:, :r] * f.singular[:r]) @ f.right[:, :r].T
-    U = left[:, :r]
     if transposed:
         return (X @ U) @ U.T
     return U @ (U.T @ X)

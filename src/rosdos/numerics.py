@@ -52,18 +52,53 @@ def svd(M):
     return SvdFactors(left=U, singular=s, right=V)
 
 
-def short_side_eigh(X):
-    """Eigendecomposition of the Gram matrix of X's short side.
+def short_side_spectrum(X):
+    """Gram matrix of X's short side and its eigenvalues.
 
-    Returns (Xw, transposed, spectrum, left): Xw is X with the short side
-    first (X.T when transposed), spectrum the eigenvalues of Xw Xw^T in
-    descending order, clipped at 0, and left their eigenvectors, the left
-    singular vectors of Xw.
+    Returns (Xw, transposed, gram, spectrum): Xw is X with the short side
+    first (X.T when transposed), gram = Xw Xw^T, and spectrum its eigenvalues
+    in descending order, clipped at 0 (all NaN when gram is not finite). The
+    eigenvectors a caller keeps come from kept_eigenvectors.
     """
     transposed = X.shape[0] > X.shape[1]
     Xw = X.T if transposed else X
-    lam, vecs = np.linalg.eigh(Xw @ Xw.T)
-    return Xw, transposed, np.maximum(lam[::-1], 0.0), vecs[:, ::-1]
+    gram = Xw @ Xw.T
+    if not np.all(np.isfinite(gram)):  # eigvalsh raises on it
+        return Xw, transposed, gram, np.full(gram.shape[0], np.nan)
+    lam = np.linalg.eigvalsh(gram)
+    return Xw, transposed, gram, np.maximum(lam[::-1], 0.0)
+
+
+def kept_eigenvectors(gram, spectrum, index):
+    """Unit eigenvectors of the PSD matrix gram for spectrum[index], as
+    columns, by shifted inverse iteration; None when they fail a check.
+
+    Each vector solves (gram - (lambda_i + 4 eps lambda_0) I) x = x0 from
+    x0 = 1/sqrt(n), and once more when ||gram x - lambda_i x|| exceeds
+    8 sqrt(n) eps lambda_0, eigh's own rounding level (one solve can leave
+    an angle of 1e-11 behind a residual under 64 n eps lambda_0). The
+    residual must then be under that bound, and max |U^T U - I| under
+    64 n eps, which a repeated or clustered eigenvalue fails.
+    """
+    n = gram.shape[0]
+    eps = np.finfo(float).eps
+    tol = 8 * np.sqrt(n) * eps * spectrum[0]
+    U = np.full((n, len(index)), 1 / np.sqrt(n))
+    try:
+        for j, lam in enumerate(spectrum[index]):
+            shifted = gram - (lam + 4 * eps * spectrum[0]) * np.eye(n)
+            for _ in range(2):
+                x = np.linalg.solve(shifted, U[:, j])
+                U[:, j] = x / np.linalg.norm(x)
+                if np.linalg.norm(gram @ U[:, j] - lam * U[:, j]) <= tol:
+                    break
+            else:
+                return None
+    except np.linalg.LinAlgError:
+        return None
+    if np.max(np.abs(U.T @ U - np.eye(len(index))), initial=0.0) > 64 * n * eps:
+        return None
+    return U
 
 
 def pairwise_sq_dist(A, B):

@@ -11,7 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import as_matrix, round_half_up, short_side_eigh, svd
+from .numerics import (
+    as_matrix, kept_eigenvectors, round_half_up, short_side_spectrum, svd)
 
 # 1 / (2^(2/3) - 1), the spread coefficient of the bulk-edge extrapolation
 _EDGE_COEF = 1.0 / (2.0 ** (2.0 / 3.0) - 1.0)
@@ -161,61 +162,23 @@ def _rank_estimates(spectrum, n, k):
     return edge, edge + n ** (-1.0 / 3.0), r, (r + 5 if r >= k else k)
 
 
-def eoptshrink(X, k=10):
-    """Denoise X by nonlinear shrinkage of its singular values.
-
-    k is the noise-eigenvalue imputation count; it is raised automatically to
-    effective_rank + 5 when the detected rank reaches it.
-
-    The spectrum and the left singular vectors come from the eigendecomposition
-    of the Gram matrix of the short side; the long-side singular vectors are
-    never formed. The output carries the denoised samples in r coordinates
-    (r kept components) with the same pairwise distances; the p x n denoised
-    matrix is formed on the first read of `denoised`, from X itself, so X
-    must not change before then.
-    Notes (a raised k, a dropped component, rank 0) are returned in
-    `warnings`; none is emitted.
-    """
-    X = as_matrix(X, "X")
-    pw, nw = sorted(X.shape)
-
-    m_edge = round_half_up(nw ** 0.25)
-    if pw <= 2 * max(k, m_edge) + 1:
-        raise ShrinkageError(
-            f"matrix too small: min(p,n)={pw} must exceed "
-            f"{2 * max(k, m_edge) + 1} for k={k}, n={nw}"
-        )
-
-    Xw, transposed, spectrum, left = short_side_eigh(X)
-    if not np.all(np.isfinite(spectrum)):
-        raise ShrinkageError("non-finite spectrum: the Gram matrix of X overflows")
-    edge, threshold, r, k_used = _rank_estimates(spectrum, nw, k)
-    # Forming the Gram matrix squares the condition number, so an eigenvalue
-    # below sqrt(eps) * lambda_max keeps few correct digits. When the smallest
-    # order statistic the estimators read is that small, use the SVD instead.
-    floor = spectrum[min(2 * max(k_used, m_edge), pw - 1)]
-    if floor < _SQRT_EPS * spectrum[0]:
-        factors = svd(Xw)
-        spectrum, left = factors.singular ** 2, factors.left
-        edge, threshold, r, k_used = _rank_estimates(spectrum, nw, k)
-    beta = pw / nw
+def _shrink_components(spectrum, r, k, k_used, beta):
+    """The notes, the imputed noise eigenvalues, and the kept components with
+    their shrunk values, for effective rank r and imputation count k_used."""
     notes = []
-
     if k_used != k:
-        if spectrum.size >= 2 * k_used + 1:
-            notes.append(f"imputation count raised from {k} to {k_used}")
-            k = k_used
-        else:
+        if spectrum.size < 2 * k_used + 1:
             raise ShrinkageError(
                 f"effective rank {r} >= k={k} and the spectrum is too short "
                 f"to raise k to {k_used}"
             )
+        notes.append(f"imputation count raised from {k} to {k_used}")
 
     kept = []
     shrunk = []
     imputed = np.array([])
     if r > 0:
-        imputed = impute_noise_eigs(spectrum, k)
+        imputed = impute_noise_eigs(spectrum, k_used)
         for i in range(r):
             try:
                 est = stieltjes_estimates(spectrum, imputed, i, beta)
@@ -227,10 +190,61 @@ def eoptshrink(X, k=10):
             shrunk.append(d)
     else:
         notes.append("effective rank 0: denoised matrix is zero")
+    return notes, imputed, np.asarray(kept, dtype=int), np.asarray(shrunk)
 
-    kept = np.asarray(kept, dtype=int)
-    shrunk = np.asarray(shrunk, dtype=float)
-    U = left[:, kept]
+
+def eoptshrink(X, k=10):
+    """Denoise X by nonlinear shrinkage of its singular values.
+
+    k is the noise-eigenvalue imputation count; it is raised automatically to
+    effective_rank + 5 when the detected rank reaches it.
+
+    The spectrum comes from the eigenvalues of the Gram matrix of the short
+    side, and the kept left singular vectors from shifted inverse iteration
+    on it; the long-side singular vectors are never formed. An ill-conditioned
+    Gram matrix, or kept vectors that fail their checks, send the whole
+    computation to the SVD instead. The output carries the denoised samples
+    in r coordinates (r kept components) with the same pairwise distances;
+    the p x n denoised matrix is formed on the first read of `denoised`, from
+    X itself, so X must not change before then.
+    Notes (a raised k, a dropped component, rank 0, the SVD taken) are
+    returned in `warnings`; none is emitted.
+    """
+    X = as_matrix(X, "X")
+    pw, nw = sorted(X.shape)
+
+    m_edge = round_half_up(nw ** 0.25)
+    if pw <= 2 * max(k, m_edge) + 1:
+        raise ShrinkageError(
+            f"matrix too small: min(p,n)={pw} must exceed "
+            f"{2 * max(k, m_edge) + 1} for k={k}, n={nw}"
+        )
+
+    Xw, transposed, gram, spectrum = short_side_spectrum(X)
+    if not np.all(np.isfinite(spectrum)):
+        raise ShrinkageError("non-finite spectrum: the Gram matrix of X overflows")
+    beta = pw / nw
+    edge, threshold, r, k_used = _rank_estimates(spectrum, nw, k)
+    # Forming the Gram matrix squares the condition number, so an eigenvalue
+    # below sqrt(eps) * lambda_max keeps few correct digits. When the smallest
+    # order statistic the estimators read is that small, use the SVD instead.
+    floor = spectrum[min(2 * max(k_used, m_edge), pw - 1)]
+    if floor < _SQRT_EPS * spectrum[0]:
+        reason = "ill-conditioned Gram"
+    else:
+        notes, imputed, kept, shrunk = _shrink_components(
+            spectrum, r, k, k_used, beta)
+        U = kept_eigenvectors(gram, spectrum, kept)
+        reason = "eigenvector check failed" if U is None else None
+    if reason is not None:
+        factors = svd(Xw)
+        spectrum = factors.singular ** 2
+        edge, threshold, r, k_used = _rank_estimates(spectrum, nw, k)
+        notes, imputed, kept, shrunk = _shrink_components(
+            spectrum, r, k, k_used, beta)
+        U = factors.left[:, kept]
+        notes.append(f"SVD taken: {reason}")
+
     scale = shrunk / np.sqrt(spectrum[kept])
     # U and the v_i have orthonormal columns, so the samples are as far apart
     # as the rows of U diag(d) (samples on the short side) or of

@@ -123,6 +123,16 @@ class TestDenoise:
             assert "t must be positive and finite" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "x")
 
+    def test_underflowing_diffusion_time_exit_two(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(["simulate", "--manifold", "m1", "--p", 60, "--n", 400,
+             "--noise", "gaussian", "--alpha", 0.5, "--seed", 0, "--out", data])
+        code = run(["denoise", "--input", data / "noisy.csv", "--K", 30,
+                    "--t", "1e6", "--out", tmp_path / "x"])
+        assert code == EXIT_USAGE
+        assert "underflows" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x")
+
     def test_missing_input_exit_one(self, tmp_path):
         assert run(
             ["denoise", "--input", tmp_path / "nope.csv", "--out", tmp_path]

@@ -8,7 +8,7 @@ from rosdos.diffusion import (
     roseland_embed,
     select_landmarks,
 )
-from rosdos.synth import sample_m1
+from rosdos.synth import ManifoldSpec, NoiseSpec, make_dataset, sample_m1
 
 
 def spearman(a, b):
@@ -159,6 +159,18 @@ class TestRoselandEmbed:
         emb = roseland_embed(X, np.arange(0, 30, 3), 2.0, 3, 0.5)
         assert np.all(emb.spectrum >= 0)
         assert emb.coords.shape == (30, 3)
+
+    def test_underflowing_diffusion_time_rejected(self):
+        ds = make_dataset(ManifoldSpec("m1", 60, 400, 0), NoiseSpec("gaussian", 0.5, 1))
+        lm = select_landmarks(ds.noisy, 0.5, 0)
+        h = auto_bandwidth(ds.noisy, lm)
+        for t in (1e3, 1e6):
+            with pytest.raises(ValueError, match="underflows"):
+                roseland_embed(ds.noisy, lm, h, 10, t)
+        # still tiny, but the distances differ
+        emb = roseland_embed(ds.noisy, lm, h, 10, 50)
+        assert 0 < np.abs(emb.coords).max() < 1e-20
+        assert len({tuple(row) for row in emb.coords}) == 400
 
     def test_spectrum_in_unit_interval(self):
         rng = np.random.default_rng(9)

@@ -124,6 +124,27 @@ class TestBaselineTsvd:
         assert np.all(baseline_tsvd(np.zeros((5, 3)), 2) == 0.0)
         assert calls == [(40, 300), (5, 3)]
 
+    @pytest.mark.parametrize("r", [2, 4])
+    def test_svd_when_eigenvector_check_fails(self, r, monkeypatch):
+        calls = []
+
+        def counting(M):
+            calls.append(M.shape)
+            return numerics.svd(M)
+
+        monkeypatch.setattr(evaluation, "svd", counting)
+        # block-diagonal Gram matrix: the top r/2 eigenvalues each appear
+        # twice, and the two vectors inverse iteration finds are not
+        # orthogonal
+        rng = np.random.default_rng(8)
+        U = np.linalg.qr(rng.standard_normal((20, 2)))[0]
+        V = np.linalg.qr(rng.standard_normal((150, 2)))[0]
+        A = (U * [8.0, 5.0]) @ V.T + 0.01 * rng.standard_normal((20, 150))
+        X = np.kron(np.eye(2), A)
+        np.testing.assert_allclose(
+            baseline_tsvd(X, r), tsvd_reference(X, r), rtol=0, atol=1e-12)
+        assert calls == [(40, 300)]
+
 
 class TestSummarize:
     def data(self):

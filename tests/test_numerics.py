@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rosdos.numerics import (
     entrywise_median,
+    kept_eigenvectors,
     pairwise_sq_dist,
     random_orthogonal,
     round_half_up,
+    short_side_spectrum,
     svd,
 )
+
+EPS = np.finfo(float).eps
 
 
 class TestSvd:
@@ -144,3 +149,95 @@ def test_round_half_up():
     assert round_half_up(2.5) == 3
     assert round_half_up(2.49) == 2
     assert round_half_up(3.0) == 3
+
+
+def planted(n, spikes, seed):
+    """n x 3n: the given singular values planted over N(0, 1/(3n)) noise."""
+    rng = np.random.default_rng(seed)
+    m = 3 * n
+    U = np.linalg.qr(rng.standard_normal((n, len(spikes))))[0]
+    V = np.linalg.qr(rng.standard_normal((m, len(spikes))))[0]
+    return (U * spikes) @ V.T + rng.standard_normal((n, m)) / np.sqrt(m)
+
+
+class TestKeptEigenvectors:
+    def assert_checked(self, gram, spectrum, U, index):
+        """U passes the helper's checks and equals eigh's vectors up to sign."""
+        n = gram.shape[0]
+        residual = gram @ U - U * spectrum[index]
+        assert np.all(np.linalg.norm(residual, axis=0)
+                      <= 8 * np.sqrt(n) * EPS * spectrum[0])
+        assert np.max(np.abs(U.T @ U - np.eye(len(index))), initial=0.0) <= (
+            64 * n * EPS)
+        ref = np.linalg.eigh(gram)[1][:, ::-1][:, index]
+        signs = np.where(np.sum(U * ref, axis=0) < 0, -1.0, 1.0)
+        assert np.max(np.abs(U - ref * signs), initial=0.0) <= 1e-10
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(25, 200),
+        spikes=st.lists(st.floats(3.0, 20.0), min_size=1, max_size=4),
+        seed=st.integers(0, 2 ** 32 - 1),
+        data=st.data(),
+    )
+    def test_checked_or_none(self, n, spikes, seed, data):
+        spikes = sorted(spikes, reverse=True)
+        _, _, gram, spectrum = short_side_spectrum(planted(n, spikes, seed))
+        index = np.array(sorted(data.draw(st.sets(
+            st.integers(0, len(spikes) - 1)), label="index")), dtype=int)
+        # eigh resolves a vector to 1e-10 when its eigenvalue stands 1e-3
+        # lambda_0 apart from the others
+        gaps = np.abs(spectrum[:, None] - spectrum[None, :]) + np.eye(n) * spectrum[0]
+        assume(np.all(gaps[index].min(axis=1) >= 1e-3 * spectrum[0]))
+        U = kept_eigenvectors(gram, spectrum, index)
+        if U is not None:
+            assert U.shape == (n, index.size)
+            self.assert_checked(gram, spectrum, U, index)
+
+    @pytest.mark.parametrize("n, index", [(101, [0]), (101, [0, 1, 2]), (200, [0, 2])])
+    def test_separated_spikes_returned(self, n, index):
+        _, _, gram, spectrum = short_side_spectrum(planted(n, [8.0, 6.0, 4.0], n))
+        index = np.array(index)
+        U = kept_eigenvectors(gram, spectrum, index)
+        assert U is not None
+        self.assert_checked(gram, spectrum, U, index)
+
+    def test_none_kept(self):
+        _, _, gram, spectrum = short_side_spectrum(planted(30, [5.0], 1))
+        U = kept_eigenvectors(gram, spectrum, np.array([], dtype=int))
+        assert U.shape == (30, 0)
+
+    def test_repeated_eigenvalue_fails_orthogonality(self):
+        # block-diagonal Gram matrix: every eigenvalue appears twice
+        A = planted(30, [8.0, 6.0], 2)
+        _, _, gram, spectrum = short_side_spectrum(np.kron(np.eye(2), A))
+        assert kept_eigenvectors(gram, spectrum, np.array([0, 1])) is None
+        # one vector of the pair passes: any unit vector of the plane will do
+        U = kept_eigenvectors(gram, spectrum, np.array([0]))
+        assert np.linalg.norm(gram @ U - spectrum[0] * U) <= (
+            8 * np.sqrt(60) * EPS * spectrum[0])
+
+    def test_singular_shift_returns_none(self):
+        gram = np.zeros((30, 30))
+        assert kept_eigenvectors(gram, np.zeros(30), np.array([0])) is None
+
+
+class TestShortSideSpectrum:
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_eigenvalues_of_short_side_gram(self, transpose):
+        X = planted(40, [6.0, 3.0], 5)
+        X = X.T if transpose else X
+        Xw, transposed, gram, spectrum = short_side_spectrum(X)
+        assert transposed == transpose and Xw.shape == (40, 120)
+        assert np.array_equal(gram, Xw @ Xw.T)
+        sv = np.linalg.svd(X, compute_uv=False)
+        assert np.all(np.diff(spectrum) <= 0) and np.all(spectrum >= 0)
+        assert np.max(np.abs(spectrum - sv ** 2)) <= 1e-12 * spectrum[0]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_gram_gives_nan_spectrum(self):
+        X = 1e200 * planted(30, [5.0], 3)
+        _, _, gram, spectrum = short_side_spectrum(X)
+        assert not np.all(np.isfinite(gram))
+        assert spectrum.shape == (30,) and np.all(np.isnan(spectrum))

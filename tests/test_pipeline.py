@@ -451,6 +451,25 @@ class TestRosdos:
         assert len(diag.local_ranks) == n
         assert diag.fallbacks < n
 
+    @pytest.mark.parametrize("mode", [MODE_GLOBAL_SHRINK, MODE_SHRINK_ONLY])
+    def test_global_svd_note_recorded(self, mode):
+        # rank 12 in 40 dimensions: the Gram matrix leaves the 21st
+        # eigenvalue the estimators read without correct digits
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((40, 12)) @ rng.standard_normal((12, 300))
+        _, diag = rosdos(X, PipelineConfig(global_mode=mode, K=30, k_local=5))
+        assert "SVD taken: ill-conditioned Gram" in diag.warnings
+        assert "SVD taken: ill-conditioned Gram" in diag.to_dict()["warnings"]
+
+    @pytest.mark.parametrize("t", [1e3, 1e6])
+    def test_underflowing_diffusion_time_rejected(self, t):
+        S, _ = sample_m1(60, 400, 0)
+        X = S + gaussian_noise(60, 400, 1) / np.sqrt(60)
+        with pytest.raises(ValueError, match="underflows"):
+            rosdos(X, PipelineConfig(K=30, k_local=10, t=t))
+        St, _ = rosdos(X, PipelineConfig(K=30, k_local=10, t=50))
+        assert np.all(np.isfinite(St))
+
     def test_diagnostics_shape(self):
         rng = np.random.default_rng(10)
         X = rng.standard_normal((15, 80))

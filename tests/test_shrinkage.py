@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rosdos.numerics import random_orthogonal, svd
+from rosdos import shrinkage
+from rosdos.numerics import random_orthogonal, round_half_up, svd
+from rosdos.pipeline import (
+    MODE_ROSELAND, MODE_SHRINK_ONLY, PipelineConfig, global_metric, rosdos)
 from rosdos.shrinkage import (
     DegenerateShrinkageError,
     ShrinkageError,
@@ -15,8 +18,10 @@ from rosdos.shrinkage import (
     shrink_singular_value,
     stieltjes_estimates,
 )
+from rosdos.synth import ManifoldSpec, NoiseSpec, make_dataset
 
 EDGE_COEF = 1.0 / (2.0 ** (2.0 / 3.0) - 1.0)
+EPS = np.finfo(float).eps
 
 
 def noise_spectrum(p, n, seed):
@@ -328,6 +333,33 @@ class TestCoords:
         assert np.all(np.abs(C - D) <= 1e-12 * D.max())
 
 
+def reference_estimates(lam, pw, nw, k):
+    """The estimator loop over a spectrum: bulk edge, effective rank, kept
+    components, their shrunk values and the notes, with k raised to r + 5
+    when the rank reaches it."""
+    edge = estimate_bulk_edge(lam, nw)
+    r = estimate_effective_rank(lam, edge, nw)
+    notes = []
+    if r >= k:
+        notes.append(f"imputation count raised from {k} to {r + 5}")
+        k = r + 5
+    kept, shrunk = [], []
+    if r > 0:
+        imputed = impute_noise_eigs(lam, k)
+        for i in range(r):
+            try:
+                est = stieltjes_estimates(lam, imputed, i, pw / nw)
+                shrunk.append(shrink_singular_value(lam[i], est))
+            except DegenerateShrinkageError as exc:
+                notes.append(f"component {i} dropped: {exc}")
+                continue
+            kept.append(i)
+    else:
+        notes.append("effective rank 0: denoised matrix is zero")
+    return SimpleNamespace(edge=edge, r=r, k=k, kept=np.asarray(kept, dtype=int),
+                           shrunk=np.asarray(shrunk), notes=notes)
+
+
 def svd_reference(X, k=10):
     """eOptShrink computed from the thin SVD of X: the squared singular values
     are the spectrum and the kept singular triplets rebuild the estimate."""
@@ -336,25 +368,38 @@ def svd_reference(X, k=10):
     pw, nw = Xw.shape
     f = svd(Xw)
     lam = f.singular ** 2
-    edge = estimate_bulk_edge(lam, nw)
-    r = estimate_effective_rank(lam, edge, nw)
-    k = r + 5 if r >= k else k
-    kept, shrunk = [], []
-    if r > 0:
-        imputed = impute_noise_eigs(lam, k)
-        for i in range(r):
-            try:
-                est = stieltjes_estimates(lam, imputed, i, pw / nw)
-                shrunk.append(shrink_singular_value(lam[i], est))
-            except DegenerateShrinkageError:
-                continue
-            kept.append(i)
-    denoised = (f.left[:, kept] * shrunk) @ f.right[:, kept].T
+    e = reference_estimates(lam, pw, nw, k)
+    denoised = (f.left[:, e.kept] * e.shrunk) @ f.right[:, e.kept].T
     return SimpleNamespace(
-        spectrum=lam, bulk_edge=edge, effective_rank=r,
-        kept=np.asarray(kept, dtype=int),
+        spectrum=lam, bulk_edge=e.edge, effective_rank=e.r, kept=e.kept,
         denoised=denoised.T if transposed else denoised,
     )
+
+
+def eigh_reference(X, k=10):
+    """eOptShrink with the spectrum and the left singular vectors from eigh
+    of the short-side Gram matrix, and from the SVD when an order statistic
+    the estimators read is below sqrt(eps) * lambda_max: the eigen step
+    before inverse iteration replaced it."""
+    transposed = X.shape[0] > X.shape[1]
+    Xw = X.T if transposed else X
+    pw, nw = Xw.shape
+    lam, vecs = np.linalg.eigh(Xw @ Xw.T)
+    lam, left = np.maximum(lam[::-1], 0.0), vecs[:, ::-1]
+    m = round_half_up(nw ** 0.25)
+    e = reference_estimates(lam, pw, nw, k)
+    if lam[min(2 * max(e.k, m), pw - 1)] < np.sqrt(EPS) * lam[0]:
+        f = svd(Xw)
+        lam, left = f.singular ** 2, f.left
+        e = reference_estimates(lam, pw, nw, k)
+        e.notes.append("SVD taken: ill-conditioned Gram")
+    U = left[:, e.kept]
+    if transposed:
+        coords = U * e.shrunk
+    else:
+        coords = (U.T @ Xw).T * (e.shrunk / np.sqrt(lam[e.kept]))
+    return SimpleNamespace(spectrum=lam, effective_rank=e.r, kept=e.kept,
+                           coords=coords, warnings=e.notes)
 
 
 def ill_conditioned_spike():
@@ -369,15 +414,14 @@ def ill_conditioned_spike():
     return X + rng.standard_normal((p, n)) / np.sqrt(n)
 
 
+@pytest.fixture(scope="module")
+def m1_separable():
+    return make_dataset(
+        ManifoldSpec("m1", 200, 1000, 0), NoiseSpec("separable", 1.0 / 3.0, 1)
+    ).noisy
+
+
 class TestAgainstSvdReference:
-    @pytest.fixture(scope="class")
-    def m1_separable(self):
-        from rosdos.synth import ManifoldSpec, NoiseSpec, make_dataset
-
-        return make_dataset(
-            ManifoldSpec("m1", 200, 1000, 0), NoiseSpec("separable", 1.0 / 3.0, 1)
-        ).noisy
-
     def assert_matches(self, X):
         out = eoptshrink(X)
         ref = svd_reference(X)
@@ -389,8 +433,6 @@ class TestAgainstSvdReference:
         return out, ref
 
     def test_local_patches(self, m1_separable):
-        from rosdos.pipeline import PipelineConfig, global_metric
-
         X = m1_separable
         hoods = global_metric(X, PipelineConfig()).neighborhoods(100)
         ranks = set()
@@ -408,6 +450,66 @@ class TestAgainstSvdReference:
         out, ref = self.assert_matches(ill_conditioned_spike())
         assert out.effective_rank == 1
         assert out.bulk_edge == pytest.approx(ref.bulk_edge, rel=1e-12)
+        assert out.warnings == ["SVD taken: ill-conditioned Gram"]
+
+    @pytest.mark.parametrize("case, note", [
+        ("repeated", "SVD taken: eigenvector check failed"),
+        ("rank-deficient", None),
+        ("rank-deficient-below-guard", "SVD taken: ill-conditioned Gram"),
+    ])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_repeated_and_rank_deficient_gram(self, case, note, transpose):
+        rng = np.random.default_rng(5)
+        if case == "repeated":
+            # block-diagonal Gram matrix: each eigenvalue appears twice
+            X = np.kron(np.eye(2), TestEoptShrink().spiked(seed=9, p=30, n=300))
+        else:
+            # 60 x 600 of rank 40, or of rank 15, under the 2k + 1 = 21
+            # order statistics the estimators read
+            rank = 40 if case == "rank-deficient" else 15
+            Q = np.linalg.qr(rng.standard_normal((60, rank)))[0]
+            X = Q @ TestEoptShrink().spiked(seed=10, p=rank, n=600)
+        out, _ = self.assert_matches(X.T if transpose else X)
+        assert out.effective_rank >= 2
+        assert [w for w in out.warnings if w.startswith("SVD")] == (
+            [note] if note else [])
+
+
+class TestAgainstEighReference:
+    def test_paper_patches(self, m1_separable):
+        # 200 patches of 101 columns, as rosdos forms them
+        X = m1_separable
+        hoods = global_metric(X, PipelineConfig()).neighborhoods(100)
+        eigenvector_svd = 0
+        for i in range(0, X.shape[1], 5):
+            Xi = X[:, np.concatenate([[i], hoods[i]])]
+            out, ref = eoptshrink(Xi), eigh_reference(Xi)
+            notes = [w for w in out.warnings
+                     if w != "SVD taken: eigenvector check failed"]
+            eigenvector_svd += len(out.warnings) - len(notes)
+            assert out.effective_rank == ref.effective_rank
+            assert np.array_equal(out.kept, ref.kept)
+            assert notes == ref.warnings
+            assert np.max(np.abs(out.spectrum - ref.spectrum)) <= (
+                1e-12 * ref.spectrum[0])
+            D = column_distances(ref.coords.T)
+            assert np.all(np.abs(column_distances(out.coords.T) - D)
+                          <= 1e-12 * D.max())
+        # the comparison above is of the eigen path, not of the SVD
+        assert eigenvector_svd < 10
+
+    @pytest.mark.parametrize("mode", [MODE_ROSELAND, MODE_SHRINK_ONLY])
+    def test_rosdos_matches_reference_loop(self, mode, monkeypatch):
+        X = make_dataset(
+            ManifoldSpec("m1", 200, 600, 2), NoiseSpec("separable", 1.0 / 3.0, 3)
+        ).noisy
+        cfg = PipelineConfig(global_mode=mode)
+        St, diag = rosdos(X, cfg)
+        monkeypatch.setattr(shrinkage, "eoptshrink", eigh_reference)
+        ref, ref_diag = rosdos(X, cfg)
+        assert np.array_equal(St, ref)
+        assert diag.local_ranks == ref_diag.local_ranks
+        assert diag.fallback_reasons == ref_diag.fallback_reasons
 
 
 def eager_denoised(X, out):
@@ -450,8 +552,6 @@ class TestLazyDenoised:
         assert np.all(out.denoised == 0.0)
 
     def test_svd_fallback(self, monkeypatch):
-        from rosdos import shrinkage
-
         calls = []
         real = shrinkage.svd
         monkeypatch.setattr(shrinkage, "svd", lambda M: calls.append(1) or real(M))
