@@ -25,9 +25,8 @@ def baseline_tsvd(X, r):
     """Keep the top-r singular triplets unmodified.
 
     The result is U_r U_r^T X, with U_r the top-r left singular vectors of
-    X's short side taken by inverse iteration on its Gram matrix (see
-    numerics.kept_eigenvectors); the long-side singular vectors are never
-    formed.
+    X's short side taken from its Gram matrix by numerics.kept_eigenvectors;
+    the long-side singular vectors are never formed.
     """
     X = as_matrix(X, "X")
     q = min(X.shape)

@@ -174,23 +174,44 @@ def _shrink_components(spectrum, r, k, k_used, beta):
             )
         notes.append(f"imputation count raised from {k} to {k_used}")
 
+    if r == 0:
+        notes.append("effective rank 0: denoised matrix is zero")
+        return notes, np.array([]), np.array([], dtype=int), np.array([])
+    # The sums over the spectrum in stieltjes_estimates, for components
+    # 0..r-1 in one array pass; the O(1) rest of it and shrink_singular_value
+    # on numpy scalars, which cost a tenth of an array operation. The
+    # operations and their order are those two functions', so the values
+    # are bit-identical, and the note of a dropped component comes from them.
+    imputed = impute_noise_eigs(spectrum, k_used)
+    li = spectrum[:r]
+    gaps = np.concatenate((imputed, spectrum[k_used:])) - li[:, None]
+    separated = gaps.max(axis=1) < 0
     kept = []
     shrunk = []
-    imputed = np.array([])
-    if r > 0:
-        imputed = impute_noise_eigs(spectrum, k_used)
-        for i in range(r):
+    with np.errstate(all="ignore"):
+        inv = 1.0 / gaps
+        inv2 = 1.0 / gaps ** 2
+        m1s = (inv[:, :k_used].sum(1) + inv[:, k_used:].sum(1)) / spectrum.size
+        m1ps = (inv2[:, :k_used].sum(1) + inv2[:, k_used:].sum(1)) / spectrum.size
+        for i, (lam, m1, m1p) in enumerate(zip(li, m1s, m1ps)):
+            m2 = beta * m1 - (1.0 - beta) / lam
+            m2p = (1.0 - beta) / lam ** 2 + beta * m1p
+            T = lam * m1 * m2
+            Tp = m1 * m2 + lam * m1p * m2 + lam * m1 * m2p
+            phi2 = 1.0 / T
+            prod = m1 / (phi2 * Tp) * (m2 / (phi2 * Tp))
+            d = np.sqrt(phi2) * np.sqrt(prod)
+            if (lam > 0 and separated[i] and T > 0 and Tp < 0 and prod > 0
+                    and 0 < d < np.inf):
+                kept.append(i)
+                shrunk.append(float(d))
+                continue
             try:
-                est = stieltjes_estimates(spectrum, imputed, i, beta)
-                d = shrink_singular_value(spectrum[i], est)
+                shrink_singular_value(lam, stieltjes_estimates(
+                    spectrum, imputed, i, beta))
             except DegenerateShrinkageError as exc:
                 notes.append(f"component {i} dropped: {exc}")
-                continue
-            kept.append(i)
-            shrunk.append(d)
-    else:
-        notes.append("effective rank 0: denoised matrix is zero")
-    return notes, imputed, np.asarray(kept, dtype=int), np.asarray(shrunk)
+    return notes, imputed, np.array(kept, dtype=int), np.array(shrunk)
 
 
 def eoptshrink(X, k=10):
@@ -200,8 +221,9 @@ def eoptshrink(X, k=10):
     effective_rank + 5 when the detected rank reaches it.
 
     The spectrum comes from the eigenvalues of the Gram matrix of the short
-    side, and the kept left singular vectors from shifted inverse iteration
-    on it; the long-side singular vectors are never formed. An ill-conditioned
+    side, and the kept left singular vectors from power steps or shifted
+    inverse iteration on it (numerics.kept_eigenvectors); the long-side
+    singular vectors are never formed. An ill-conditioned
     Gram matrix, or kept vectors that fail their checks, send the whole
     computation to the SVD instead. The output carries the denoised samples
     in r coordinates (r kept components) with the same pairwise distances;

@@ -40,9 +40,11 @@ def load_matrix(path):
 
 
 def save_json(path, record):
+    """Write record as indented JSON with sorted keys, in one write (json.dump
+    writes each token separately)."""
+    text = json.dumps(record, indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_json(path):

@@ -8,7 +8,7 @@ import pytest
 from rosdos import cli, storage
 from rosdos.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from rosdos.evaluation import baseline_tsvd, summarize
-from rosdos.pipeline import PipelineConfig
+from rosdos.pipeline import Diagnostics, PipelineConfig
 from rosdos.synth import ManifoldSpec, NoiseSpec, make_dataset
 
 
@@ -413,3 +413,35 @@ class TestStorage:
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(ValueError):
             storage.load_matrix(path)
+
+    @staticmethod
+    def report_record():
+        rng = np.random.default_rng(2)
+        S = rng.standard_normal((20, 2000))
+        noise = 0.3 * rng.standard_normal(S.shape)
+        return summarize(S, S + noise, noise, timing=1.25,
+                         config={"method": "raw", **PipelineConfig().to_dict()}
+                         ).to_dict()
+
+    @staticmethod
+    def diagnostics_record():
+        diag = Diagnostics(
+            global_mode="roseland", global_effective_rank=None,
+            local_ranks=[1, 2, -1, 3] * 50, fallbacks=1,
+            fallback_reasons={"matrix too small: min(p,n)=3 must exceed 21": 1},
+            embedding_dim=4, timings={"recovery": 0.125, "neighborhoods": 1e-3},
+            warnings=["embedding dimension cut from q_prime=50 to 4"])
+        return {**diag.to_dict(), "config": PipelineConfig(h=0.5).to_dict(),
+                "wallclock_seconds": 2.5}
+
+    @pytest.mark.parametrize("make", ["report_record", "diagnostics_record"])
+    def test_json_bytes_match_json_dump(self, tmp_path, make):
+        record = getattr(self, make)()
+        path = tmp_path / "r.json"
+        storage.save_json(path, record)
+        reference = tmp_path / "ref.json"
+        with open(reference, "w") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == reference.read_bytes()
+        assert storage.load_json(path) == record

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from rosdos import numerics
 from rosdos.numerics import (
     entrywise_median,
     kept_eigenvectors,
@@ -216,6 +217,58 @@ class TestKeptEigenvectors:
         U = kept_eigenvectors(gram, spectrum, np.array([0]))
         assert np.linalg.norm(gram @ U - spectrum[0] * U) <= (
             8 * np.sqrt(60) * EPS * spectrum[0])
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        solves = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            solves.append(1)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        return solves
+
+    @pytest.mark.parametrize("n", [25, 101, 200])
+    def test_separated_top_vector_takes_no_solve(self, n, monkeypatch):
+        _, _, gram, spectrum = short_side_spectrum(planted(n, [8.0, 3.0], n))
+        assert spectrum[1] < numerics._POWER_RATIO_MAX * spectrum[0]
+
+        def no_solve(a, b):
+            raise np.linalg.LinAlgError("power steps should need no solve")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        index = np.array([0])
+        U = kept_eigenvectors(gram, spectrum, index)
+        assert U is not None
+        self.assert_checked(gram, spectrum, U, index)
+
+    @pytest.mark.parametrize("index", [[0], [0, 1]])
+    def test_close_top_pair_takes_inverse_iteration(self, index, monkeypatch):
+        _, _, gram, spectrum = short_side_spectrum(planted(101, [8.0, 7.6], 3))
+        assert spectrum[1] > 0.9 * spectrum[0]
+        solves = self.count_solves(monkeypatch)
+        index = np.array(index)
+        U = kept_eigenvectors(gram, spectrum, index)
+        assert U is not None and len(solves) >= index.size
+        self.assert_checked(gram, spectrum, U, index)
+
+    def test_power_steps_that_miss_fall_back(self, monkeypatch):
+        # the top vector is nearly orthogonal to the power steps' start
+        # 1/sqrt(n), so the step count from the spectrum leaves a residual
+        # far above the bound, and inverse iteration takes over
+        n = 60
+        top = np.where(np.arange(n) % 2, -1.0, 1.0) + 1e-9
+        rng = np.random.default_rng(4)
+        Q = np.linalg.qr(np.column_stack([top, rng.standard_normal((n, n - 1))]))[0]
+        spectrum = np.concatenate([[10.0], np.linspace(1.0, 0.01, n - 1)])
+        gram = (Q * spectrum) @ Q.T
+        solves = self.count_solves(monkeypatch)
+        index = np.array([0])
+        U = kept_eigenvectors(gram, spectrum, index)
+        assert U is not None and len(solves) >= 1
+        self.assert_checked(gram, spectrum, U, index)
 
     def test_singular_shift_returns_none(self):
         gram = np.zeros((30, 30))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rosdos import shrinkage
-from rosdos.numerics import random_orthogonal, round_half_up, svd
+from rosdos.numerics import (
+    random_orthogonal, round_half_up, short_side_spectrum, svd)
 from rosdos.pipeline import (
     MODE_ROSELAND, MODE_SHRINK_ONLY, PipelineConfig, global_metric, rosdos)
 from rosdos.shrinkage import (
@@ -419,6 +420,45 @@ def m1_separable():
     return make_dataset(
         ManifoldSpec("m1", 200, 1000, 0), NoiseSpec("separable", 1.0 / 3.0, 1)
     ).noisy
+
+
+class TestArrayRule:
+    """_shrink_components, which computes every candidate component at once,
+    against reference_estimates' stieltjes_estimates and
+    shrink_singular_value, one component at a time, bit for bit."""
+
+    def assert_matches_scalar(self, lam, pw, nw, k=10):
+        ref = reference_estimates(lam, pw, nw, k)
+        _, _, r, k_used = shrinkage._rank_estimates(lam, nw, k)
+        notes, _, kept, shrunk = shrinkage._shrink_components(
+            lam, r, k, k_used, pw / nw)
+        assert np.array_equal(kept, ref.kept)
+        assert shrunk.tobytes() == ref.shrunk.tobytes()
+        assert notes == ref.notes
+        return r, notes
+
+    def test_m1_separable_patches(self, m1_separable):
+        X = m1_separable
+        hoods = global_metric(X, PipelineConfig()).neighborhoods(100)
+        ranks = set()
+        for i in range(0, X.shape[1], 5):
+            Xw, _, _, lam = short_side_spectrum(X[:, np.concatenate([[i], hoods[i]])])
+            r, _ = self.assert_matches_scalar(lam, *Xw.shape)
+            ranks.add(r)
+        Xw, _, _, lam = short_side_spectrum(X)
+        self.assert_matches_scalar(lam, *Xw.shape)
+        assert len(ranks) > 1
+
+    def test_dropped_component(self):
+        # component 1 clears the rank threshold (about 5.14) but not the
+        # imputed noise eigenvalues, which the 2k-th order statistic sets
+        lam = np.concatenate([[100.0, 10.0], np.full(9, 5.0),
+                              np.linspace(4.5, 0.0, 10), np.zeros(79)])
+        r, notes = self.assert_matches_scalar(lam, 100, 400)
+        assert r == 2
+        assert notes == [
+            "component 1 dropped: degenerate shrinkage for component 1: "
+            "eigenvalue not separated from the imputed bulk"]
 
 
 class TestAgainstSvdReference:
