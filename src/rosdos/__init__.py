@@ -11,7 +11,6 @@ from .diffusion import (
 )
 from .evaluation import ExperimentReport, baseline_tsvd, nrmse, summarize
 from .numerics import (
-    SvdFactors,
     entrywise_median,
     pairwise_sq_dist,
     random_orthogonal,

@@ -4,7 +4,6 @@ import argparse
 import csv
 import dataclasses
 import itertools
-import numbers
 import os
 import sys
 import time
@@ -14,6 +13,7 @@ import numpy as np
 
 from . import storage
 from .evaluation import baseline_tsvd, summarize
+from .numerics import is_integer
 from .pipeline import PipelineConfig, rosdos
 from .shrinkage import eoptshrink
 from .synth import ManifoldSpec, NoiseSpec, check_specs, make_dataset
@@ -92,11 +92,10 @@ def cmd_simulate(args):
         "seed": args.seed,
         "msnr_db": ds.msnr_db,
     }
-    header = {k: v for k, v in meta.items()}
-    storage.save_matrix(os.path.join(out, "clean.csv"), ds.clean, header)
-    storage.save_matrix(os.path.join(out, "noisy.csv"), ds.noisy, header)
+    storage.save_matrix(os.path.join(out, "clean.csv"), ds.clean, meta)
+    storage.save_matrix(os.path.join(out, "noisy.csv"), ds.noisy, meta)
     latent = ds.latent if ds.latent.ndim == 2 else ds.latent.reshape(-1, 1)
-    storage.save_matrix(os.path.join(out, "latent.csv"), latent.T, header)
+    storage.save_matrix(os.path.join(out, "latent.csv"), latent.T, meta)
     storage.save_json(os.path.join(out, "meta.json"), meta)
     print(f"mSNR: {ds.msnr_db:.2f} dB")
     return EXIT_OK
@@ -218,9 +217,7 @@ def cmd_experiment(args):
     master_seed = config.get("seed", 0)
     out = config.get("output_dir", args.out)
 
-    if isinstance(master_seed, bool) or not (
-        isinstance(master_seed, numbers.Integral) and master_seed >= 0
-    ):
+    if not (is_integer(master_seed) and master_seed >= 0):
         raise ValueError(f"seed must be an integer >= 0, got {master_seed!r}")
     for key, value in (("manifolds", manifolds), ("noises", noises),
                        ("alphas", alphas), ("baselines", baselines)):

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, fix_signs, pairwise_sq_dist, round_half_up
+from .numerics import (
+    as_matrix, fix_signs, is_positive_finite, pairwise_sq_dist, round_half_up)
 
 
 @dataclass
@@ -21,8 +22,8 @@ class EmbeddingResult:
 def affinity_complete(X, h):
     """Complete-graph Gaussian affinity with the diagonal removed."""
     X = as_matrix(X, "X")
-    if h <= 0:
-        raise ValueError(f"bandwidth h must be positive, got {h}")
+    if not is_positive_finite(h):
+        raise ValueError(f"bandwidth h must be positive and finite, got {h!r}")
     if X.shape[1] < 2:
         raise ValueError("need at least two points")
     W0 = np.exp(-pairwise_sq_dist(X, X) / h)
@@ -118,13 +119,15 @@ def roseland_embed(X, landmarks, h, q_prime, t):
     Unlike the complete-graph kernel, the sample-to-landmark affinity keeps
     coincident pairs at affinity 1. Singular values are nonnegative, so any
     real diffusion time t > 0 is valid, up to the t at which the leading
-    factor s_1^(2t) underflows (ValueError).
+    factor s_1^(2t) underflows (ValueError); h and t must be finite. The
+    coords' column signs are the SVD's: only distances between rows carry
+    meaning.
     """
     X = as_matrix(X, "X")
-    if h <= 0:
-        raise ValueError(f"bandwidth h must be positive, got {h}")
-    if t <= 0:
-        raise ValueError(f"diffusion time must be positive, got {t}")
+    if not is_positive_finite(h):
+        raise ValueError(f"bandwidth h must be positive and finite, got {h!r}")
+    if not is_positive_finite(t):
+        raise ValueError(f"diffusion time must be positive and finite, got {t!r}")
     landmarks = np.asarray(landmarks, dtype=int)
     n = X.shape[1]
     m = landmarks.size
@@ -140,7 +143,6 @@ def roseland_embed(X, landmarks, h, q_prime, t):
     inv_sqrt = 1.0 / np.sqrt(deg)
     Ab = Wb * inv_sqrt[:, None]
     U, s, _ = np.linalg.svd(Ab, full_matrices=False)
-    U = fix_signs(U)
 
     spectral = s[1 : q_prime + 1] ** (2.0 * t)
     # an underflowed factor would zero every diffusion distance

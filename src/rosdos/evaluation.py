@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .numerics import as_matrix, kept_eigenvectors, short_side_spectrum, svd
+from .synth import msnr
 
 
 def nrmse(S, S_tilde):
@@ -45,8 +46,8 @@ def baseline_tsvd(X, r):
     if spectrum[r - 1] > np.sqrt(np.finfo(float).eps) * spectrum[0]:
         U = kept_eigenvectors(gram, spectrum, np.arange(r))
     if U is None:
-        f = svd(X)
-        return (f.left[:, :r] * f.singular[:r]) @ f.right[:, :r].T
+        U, s, Vh = svd(X)
+        return (U[:, :r] * s[:r]) @ Vh[:r]
     if transposed:
         return (X @ U) @ U.T
     return U @ (U.T @ X)
@@ -79,8 +80,6 @@ def summarize(S, S_tilde, noise=None, timing=0.0, config=None):
         ratio = float(
             np.median(np.linalg.norm(noise, axis=0) / np.linalg.norm(S, axis=0))
         )
-        from .synth import msnr
-
         snr = msnr(S, noise)
     return ExperimentReport(
         nrmse=[float(e) for e in errors],

@@ -1,9 +1,24 @@
-"""Deterministic dense-matrix primitives shared by the rest of the package."""
+"""Dense-matrix primitives and value checks shared by the rest of the package."""
 
 import math
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
+
+
+def is_integer(value):
+    """An integral number other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value):
+    """A real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_positive_finite(value):
+    """A finite real number above 0, bools excluded."""
+    return is_real(value) and math.isfinite(value) and value > 0
 
 
 def as_matrix(values, name="matrix"):
@@ -18,39 +33,23 @@ def as_matrix(values, name="matrix"):
     return M
 
 
-@dataclass
-class SvdFactors:
-    """Thin SVD with a deterministic sign convention."""
-
-    left: np.ndarray      # p x q, orthonormal columns
-    singular: np.ndarray  # q nonincreasing nonnegative values
-    right: np.ndarray     # n x q, orthonormal columns
-
-
-def fix_signs(U, V=None):
+def fix_signs(U):
     """Flip column signs so each column of U has its largest-|entry| positive.
 
-    Ties broken by lowest index (np.argmax returns the first maximum). If V is
-    given its columns are flipped consistently.
+    Ties broken by lowest index (np.argmax returns the first maximum).
     """
     U = np.array(U, copy=True)
-    if V is not None:
-        V = np.array(V, copy=True)
     for j in range(U.shape[1]):
         i = int(np.argmax(np.abs(U[:, j])))
         if U[i, j] < 0:
             U[:, j] = -U[:, j]
-            if V is not None:
-                V[:, j] = -V[:, j]
-    return U if V is None else (U, V)
+    return U
 
 
 def svd(M):
-    """Thin SVD of M with q = min(p, n) and deterministic signs."""
-    M = as_matrix(M)
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    U, V = fix_signs(U, Vt.T)
-    return SvdFactors(left=U, singular=s, right=V)
+    """numpy's thin SVD (U, S, Vh) of M, q = min(p, n); column signs as
+    LAPACK leaves them."""
+    return np.linalg.svd(as_matrix(M), full_matrices=False)
 
 
 def short_side_spectrum(X):

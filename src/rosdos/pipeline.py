@@ -2,8 +2,6 @@
 and k-NN entrywise-median recovery."""
 
 import copy
-import math
-import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, asdict
@@ -11,7 +9,8 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from . import diffusion, shrinkage
-from .numerics import as_matrix, entrywise_median
+from .numerics import (
+    as_matrix, entrywise_median, is_integer, is_positive_finite, is_real)
 
 MODE_ROSELAND = "roseland"
 MODE_GLOBAL_SHRINK = "global-shrink"
@@ -21,14 +20,6 @@ _MODES = (MODE_ROSELAND, MODE_GLOBAL_SHRINK, MODE_SHRINK_ONLY)
 # temporary memory one block of neighbor distances, or of recovered points,
 # may use; it sets the points per block
 _BLOCK_BYTES = 2 ** 21
-
-
-def _is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_positive_finite(value):
-    return _is_real(value) and math.isfinite(value) and value > 0
 
 
 @dataclass
@@ -50,7 +41,7 @@ class PipelineConfig:
             )
         for name in ("K", "k_local", "q_prime", "k_imp", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.k_local < self.K < n:
             raise ValueError(
@@ -60,14 +51,14 @@ class PipelineConfig:
             raise ValueError(f"q_prime must be >= 1, got {self.q_prime}")
         if self.k_imp < 1:
             raise ValueError(f"k_imp must be >= 1, got {self.k_imp}")
-        if not (_is_real(self.gamma) and 0 < self.gamma < 1):
+        if not (is_real(self.gamma) and 0 < self.gamma < 1):
             raise ValueError(
                 f"gamma must be a real number in (0, 1), got {self.gamma!r}"
             )
-        if not _is_positive_finite(self.t):
+        if not is_positive_finite(self.t):
             raise ValueError(f"t must be positive and finite, got {self.t!r}")
         h = self.h
-        if h != "auto" and not _is_positive_finite(h):
+        if h != "auto" and not is_positive_finite(h):
             raise ValueError(f"h must be positive and finite or 'auto', got {h!r}")
 
     def to_dict(self):

@@ -12,7 +12,8 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import (
-    as_matrix, kept_eigenvectors, round_half_up, short_side_spectrum, svd)
+    as_matrix, is_integer, kept_eigenvectors, round_half_up,
+    short_side_spectrum, svd)
 
 # 1 / (2^(2/3) - 1), the spread coefficient of the bulk-edge extrapolation
 _EDGE_COEF = 1.0 / (2.0 ** (2.0 / 3.0) - 1.0)
@@ -217,8 +218,9 @@ def _shrink_components(spectrum, r, k, k_used, beta):
 def eoptshrink(X, k=10):
     """Denoise X by nonlinear shrinkage of its singular values.
 
-    k is the noise-eigenvalue imputation count; it is raised automatically to
-    effective_rank + 5 when the detected rank reaches it.
+    k is the noise-eigenvalue imputation count, an integer >= 1 (a bool is
+    not one); it is raised automatically to effective_rank + 5 when the
+    detected rank reaches it.
 
     The spectrum comes from the eigenvalues of the Gram matrix of the short
     side, and the kept left singular vectors from power steps or shifted
@@ -233,6 +235,8 @@ def eoptshrink(X, k=10):
     returned in `warnings`; none is emitted.
     """
     X = as_matrix(X, "X")
+    if not (is_integer(k) and k >= 1):
+        raise ShrinkageError(f"k must be an integer >= 1, got {k!r}")
     pw, nw = sorted(X.shape)
 
     m_edge = round_half_up(nw ** 0.25)
@@ -259,12 +263,12 @@ def eoptshrink(X, k=10):
         U = kept_eigenvectors(gram, spectrum, kept)
         reason = "eigenvector check failed" if U is None else None
     if reason is not None:
-        factors = svd(Xw)
-        spectrum = factors.singular ** 2
+        left, s, _ = svd(Xw)
+        spectrum = s ** 2
         edge, threshold, r, k_used = _rank_estimates(spectrum, nw, k)
         notes, imputed, kept, shrunk = _shrink_components(
             spectrum, r, k, k_used, beta)
-        U = factors.left[:, kept]
+        U = left[:, kept]
         notes.append(f"SVD taken: {reason}")
 
     scale = shrunk / np.sqrt(spectrum[kept])

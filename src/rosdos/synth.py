@@ -1,12 +1,12 @@
 """Synthetic manifold samplers, noise generators, and the mSNR diagnostic."""
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, haar_frame, random_orthogonal
+from .numerics import (
+    as_matrix, haar_frame, is_integer, is_real, random_orthogonal)
 
 
 @dataclass
@@ -191,12 +191,12 @@ def check_specs(mspec, nspec):
         raise ValueError(f"unknown manifold kind {mspec.kind!r}")
     for name in ("p", "n"):
         value = getattr(mspec, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if nspec.kind not in ("gaussian", "separable"):
         raise ValueError(f"unknown noise kind {nspec.kind!r}")
     alpha = nspec.alpha
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+    if not is_real(alpha):
         raise ValueError(f"alpha must be a real number, got {alpha!r}")
     if not math.isfinite(alpha) or alpha < 0:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 
@@ -19,3 +20,16 @@ def m1_gaussian_msnr():
         return 10.0 * math.log10(e_s) + (2.0 * alpha - 1.0) * 10.0 * math.log10(p)
 
     return msnr_db
+
+
+@pytest.fixture
+def ill_conditioned_spike():
+    """A 1e8 spike over N(0, 1/n) noise: the squared condition number of the
+    Gram matrix leaves the noise eigenvalues without correct digits, so
+    eoptshrink takes the SVD."""
+    p, n = 100, 400
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(p)
+    v = rng.standard_normal(n)
+    X = 1e8 * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+    return X + rng.standard_normal((p, n)) / np.sqrt(n)

@@ -37,6 +37,11 @@ class TestAffinityComplete:
         with pytest.raises(ValueError):
             affinity_complete(np.ones((2, 3)), 0.0)
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_rejects_non_finite_bandwidth(self, h):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            affinity_complete(np.ones((2, 3)), h)
+
 
 class TestDmEmbed:
     def test_two_point_hand_computation(self):
@@ -152,6 +157,16 @@ class TestRoselandEmbed:
         evals, evecs = evals[order], evecs[:, order]
         ref = evecs[:, 1:6] / np.sqrt(deg)[:, None] * evals[1:6][None, :]
         assert np.allclose(np.abs(emb.coords), np.abs(ref), atol=1e-8)
+
+    @pytest.mark.parametrize("h, t, message", [
+        (np.nan, 1.0, "bandwidth h must be positive and finite, got nan"),
+        (np.inf, 1.0, "bandwidth h must be positive and finite, got inf"),
+        (1.0, np.nan, "diffusion time must be positive and finite, got nan"),
+    ])
+    def test_rejects_non_finite_bandwidth_and_time(self, h, t, message):
+        X = np.random.default_rng(8).standard_normal((3, 30))
+        with pytest.raises(ValueError, match=message):
+            roseland_embed(X, np.arange(0, 30, 3), h, 3, t)
 
     def test_fractional_time_allowed(self):
         rng = np.random.default_rng(8)

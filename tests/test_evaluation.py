@@ -12,8 +12,8 @@ def tsvd_reference(X, r):
     """The top-r singular triplets of X from its thin SVD."""
     if r == 0:
         return np.zeros_like(X)
-    f = numerics.svd(X)
-    return (f.left[:, :r] * f.singular[:r]) @ f.right[:, :r].T
+    U, s, Vh = numerics.svd(X)
+    return (U[:, :r] * s[:r]) @ Vh[:r]
 
 
 class TestNrmse:

@@ -288,6 +288,18 @@ class TestEoptShrink:
         with pytest.raises(ShrinkageError):
             eoptshrink(np.ones((5, 30)))
 
+    @pytest.mark.parametrize("k", [0, -3, 2.5, True, "3", None])
+    def test_bad_imputation_count_rejected(self, k, monkeypatch):
+        # rejected before the Gram matrix is formed
+        monkeypatch.setattr(shrinkage, "short_side_spectrum", None)
+        with pytest.raises(ShrinkageError, match="k must be an integer >= 1"):
+            eoptshrink(self.spiked(), k=k)
+
+    def test_numpy_integer_imputation_count(self):
+        X = self.spiked()
+        assert eoptshrink(X, k=np.int64(4)).shrunk.tobytes() == \
+            eoptshrink(X, k=4).shrunk.tobytes()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_overflowing_input_raises(self):
@@ -367,10 +379,10 @@ def svd_reference(X, k=10):
     transposed = X.shape[0] > X.shape[1]
     Xw = X.T if transposed else X
     pw, nw = Xw.shape
-    f = svd(Xw)
-    lam = f.singular ** 2
+    U, s, Vh = svd(Xw)
+    lam = s ** 2
     e = reference_estimates(lam, pw, nw, k)
-    denoised = (f.left[:, e.kept] * e.shrunk) @ f.right[:, e.kept].T
+    denoised = (U[:, e.kept] * e.shrunk) @ Vh[e.kept]
     return SimpleNamespace(
         spectrum=lam, bulk_edge=e.edge, effective_rank=e.r, kept=e.kept,
         denoised=denoised.T if transposed else denoised,
@@ -390,8 +402,8 @@ def eigh_reference(X, k=10):
     m = round_half_up(nw ** 0.25)
     e = reference_estimates(lam, pw, nw, k)
     if lam[min(2 * max(e.k, m), pw - 1)] < np.sqrt(EPS) * lam[0]:
-        f = svd(Xw)
-        lam, left = f.singular ** 2, f.left
+        left, s, _ = svd(Xw)
+        lam = s ** 2
         e = reference_estimates(lam, pw, nw, k)
         e.notes.append("SVD taken: ill-conditioned Gram")
     U = left[:, e.kept]
@@ -401,18 +413,6 @@ def eigh_reference(X, k=10):
         coords = (U.T @ Xw).T * (e.shrunk / np.sqrt(lam[e.kept]))
     return SimpleNamespace(spectrum=lam, effective_rank=e.r, kept=e.kept,
                            coords=coords, warnings=e.notes)
-
-
-def ill_conditioned_spike():
-    """A 1e8 spike over N(0, 1/n) noise: the squared condition number of the
-    Gram matrix leaves the noise eigenvalues without correct digits, so
-    eoptshrink takes the SVD."""
-    p, n = 100, 400
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(p)
-    v = rng.standard_normal(n)
-    X = 1e8 * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
-    return X + rng.standard_normal((p, n)) / np.sqrt(n)
 
 
 @pytest.fixture(scope="module")
@@ -486,8 +486,8 @@ class TestAgainstSvdReference:
         out, _ = self.assert_matches(m1_separable)
         assert out.effective_rank > 0
 
-    def test_ill_conditioned_spike_uses_svd(self):
-        out, ref = self.assert_matches(ill_conditioned_spike())
+    def test_ill_conditioned_spike_uses_svd(self, ill_conditioned_spike):
+        out, ref = self.assert_matches(ill_conditioned_spike)
         assert out.effective_rank == 1
         assert out.bulk_edge == pytest.approx(ref.bulk_edge, rel=1e-12)
         assert out.warnings == ["SVD taken: ill-conditioned Gram"]
@@ -591,10 +591,10 @@ class TestLazyDenoised:
         assert out.effective_rank == 0 and out.kept.size == 0
         assert np.all(out.denoised == 0.0)
 
-    def test_svd_fallback(self, monkeypatch):
+    def test_svd_fallback(self, monkeypatch, ill_conditioned_spike):
         calls = []
         real = shrinkage.svd
         monkeypatch.setattr(shrinkage, "svd", lambda M: calls.append(1) or real(M))
-        out = self.assert_eager_equal(ill_conditioned_spike())
+        out = self.assert_eager_equal(ill_conditioned_spike)
         assert calls == [1]
         assert out.effective_rank == 1
