@@ -13,7 +13,6 @@ import numpy as np
 
 from . import storage
 from .evaluation import baseline_tsvd, summarize
-from .numerics import is_integer
 from .pipeline import PipelineConfig, rosdos
 from .shrinkage import eoptshrink
 from .synth import ManifoldSpec, NoiseSpec, check_specs, make_dataset
@@ -21,6 +20,17 @@ from .synth import ManifoldSpec, NoiseSpec, check_specs, make_dataset
 ENV_OUTPUT_DIR = "ROSDOS_OUTPUT_DIR"
 
 _BASELINES = ("raw", "tsvd", "global-shrink")
+_FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)]
+
+# an experiment config's keys and their defaults; output_dir defaults to --out
+_EXPERIMENT = {
+    "p": 200, "n": 5000,
+    "manifolds": ["m1", "m3"], "noises": ["gaussian", "separable"],
+    "alphas": [1.0, 0.5, 1.0 / 3.0], "pipeline": {},
+    "baselines": list(_BASELINES), "seed": 0, "output_dir": None,
+}
+# the report fields in each summary.csv row, after its cell and method
+_REPORTED = ("msnr_db", "nrmse_median", "nrmse_mean", "noise_ratio_median")
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -37,34 +47,16 @@ def _cell_seed(master_seed, cell_id):
     return int(np.random.SeedSequence([master_seed, digest]).generate_state(1)[0])
 
 
-def _pipeline_config(args, n):
-    cfg = PipelineConfig(
-        global_mode=args.mode,
-        h="auto" if args.h == "auto" else float(args.h),
-        gamma=args.gamma,
-        q_prime=args.q,
-        t=args.t,
-        K=args.K,
-        k_local=args.k,
-        k_imp=args.k_imp,
-        seed=args.seed,
-    )
-    cfg.validate(n)
-    return cfg
-
-
-def _experiment_config(pipeline_args, n):
-    """The experiment's pipeline settings, checked once for all cells; each
-    cell sets its own seed."""
-    if not isinstance(pipeline_args, dict):
-        raise ValueError(f"pipeline must be an object, got {pipeline_args!r}")
-    keys = {f.name for f in dataclasses.fields(PipelineConfig)} - {"seed"}
-    unknown = sorted(set(pipeline_args) - keys)
+def _pipeline_config(settings, n, **fixed):
+    """Build and validate a PipelineConfig from a mapping of its fields; the
+    fields passed as keywords are the caller's, and settings may not name them."""
+    if not isinstance(settings, dict):
+        raise ValueError(f"pipeline must be an object, got {settings!r}")
+    keys = sorted(set(_FIELDS) - set(fixed))
+    unknown = sorted(set(settings) - set(keys))
     if unknown:
-        raise ValueError(
-            f"unknown pipeline keys {unknown}; choose from {sorted(keys)}"
-        )
-    cfg = PipelineConfig(**pipeline_args)
+        raise ValueError(f"unknown pipeline keys {unknown}; choose from {keys}")
+    cfg = PipelineConfig(**settings, **fixed)
     cfg.validate(n)
     return cfg
 
@@ -103,7 +95,10 @@ def cmd_simulate(args):
 
 def cmd_denoise(args):
     X = storage.load_matrix(args.input)
-    cfg = _pipeline_config(args, X.shape[1])
+    settings = {name: getattr(args, name) for name in _FIELDS}
+    if args.h != "auto":
+        settings["h"] = float(args.h)
+    cfg = _pipeline_config(settings, X.shape[1])
     t0 = time.perf_counter()
     denoised, diag = rosdos(X, cfg)
     elapsed = time.perf_counter() - t0
@@ -186,18 +181,8 @@ def _run_cell(p, n, manifold, noise, alpha, cfg, baselines, seed, out):
             config={"method": method, **cfg.to_dict()},
         )
         storage.save_json(os.path.join(out, f"report_{method}.json"), report.to_dict())
-        rows.append(
-            {
-                "manifold": manifold,
-                "noise": noise,
-                "alpha": alpha,
-                "method": method,
-                "msnr_db": report.msnr_db,
-                "nrmse_median": report.nrmse_median,
-                "nrmse_mean": report.nrmse_mean,
-                "noise_ratio_median": report.noise_ratio_median,
-            }
-        )
+        rows.append((manifold, noise, alpha, method,
+                     *(getattr(report, name) for name in _REPORTED)))
     return rows
 
 
@@ -207,23 +192,18 @@ def cmd_experiment(args):
         raise ValueError(
             f"{args.config} must hold a JSON object, got {type(config).__name__}"
         )
-    p = config.get("p", 200)
-    n = config.get("n", 5000)
-    manifolds = config.get("manifolds", ["m1", "m3"])
-    noises = config.get("noises", ["gaussian", "separable"])
-    alphas = config.get("alphas", [1.0, 0.5, 1.0 / 3.0])
-    pipeline_args = config.get("pipeline", {})
-    baselines = config.get("baselines", ["raw", "tsvd", "global-shrink"])
-    master_seed = config.get("seed", 0)
-    out = config.get("output_dir", args.out)
-
-    if not (is_integer(master_seed) and master_seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {master_seed!r}")
-    for key, value in (("manifolds", manifolds), ("noises", noises),
-                       ("alphas", alphas), ("baselines", baselines)):
-        if not isinstance(value, list):
-            raise ValueError(f"{key} must be a JSON array, got {value!r}")
-    grid = list(itertools.product(manifolds, noises, alphas))
+    unknown = sorted(set(config) - set(_EXPERIMENT))
+    if unknown:
+        raise ValueError(
+            f"unknown experiment keys {unknown}; choose from {sorted(_EXPERIMENT)}"
+        )
+    config = {**_EXPERIMENT, "output_dir": args.out, **config}
+    p, n, baselines = config["p"], config["n"], config["baselines"]
+    for key in ("manifolds", "noises", "alphas", "baselines"):
+        if not isinstance(config[key], list):
+            raise ValueError(f"{key} must be a JSON array, got {config[key]!r}")
+    grid = list(itertools.product(
+        config["manifolds"], config["noises"], config["alphas"]))
     if not grid:
         raise ValueError("the experiment grid has no cells")
     for manifold, noise, alpha in grid:
@@ -239,14 +219,17 @@ def cmd_experiment(args):
         raise ValueError(
             f"unknown baselines {unknown}; choose from {list(_BASELINES)}"
         )
-    cfg = _experiment_config(pipeline_args, n)
+    # cfg carries the master seed, so validate checks it; each cell then
+    # runs at a seed derived from it
+    cfg = _pipeline_config(config["pipeline"], n, seed=config["seed"])
+    out = config["output_dir"]
     os.makedirs(out, exist_ok=True)
 
     rows = []
     failures = []
     for cell, manifold, noise, alpha in cells:
         cell_dir = os.path.join(out, cell)
-        seed = _cell_seed(master_seed, cell)
+        seed = _cell_seed(cfg.seed, cell)
         try:
             rows.extend(
                 _run_cell(
@@ -260,13 +243,9 @@ def cmd_experiment(args):
             print(f"cell {cell}: FAILED ({exc})", file=sys.stderr)
 
     summary_path = os.path.join(out, "summary.csv")
-    fields = [
-        "manifold", "noise", "alpha", "method",
-        "msnr_db", "nrmse_median", "nrmse_mean", "noise_ratio_median",
-    ]
     with open(summary_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(("manifold", "noise", "alpha", "method", *_REPORTED))
         writer.writerows(rows)
     if failures:
         storage.save_json(os.path.join(out, "failures.json"), failures)
@@ -295,15 +274,16 @@ def build_parser():
     den.add_argument("--input", required=True)
     den.add_argument(
         "--mode",
+        dest="global_mode",
         choices=["roseland", "global-shrink", "shrink-only"],
         default="roseland",
     )
     den.add_argument("--h", default="auto")
     den.add_argument("--gamma", type=float, default=0.5)
-    den.add_argument("--q", type=int, default=10)
+    den.add_argument("--q", dest="q_prime", metavar="Q", type=int, default=10)
     den.add_argument("--t", type=float, default=1)
     den.add_argument("--K", type=int, default=100)
-    den.add_argument("--k", type=int, default=20)
+    den.add_argument("--k", dest="k_local", metavar="K", type=int, default=20)
     den.add_argument("--k-imp", dest="k_imp", type=int, default=10)
     den.add_argument("--seed", type=int, default=0)
     den.add_argument("--out", default=_default_out())

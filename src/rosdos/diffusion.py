@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    as_matrix, fix_signs, is_positive_finite, pairwise_sq_dist, round_half_up)
+    as_matrix, fix_signs, is_integer, is_positive_finite, is_real,
+    pairwise_sq_dist, round_half_up)
 
 
 @dataclass
@@ -66,11 +67,12 @@ def dm_embed(X, h, q_prime, t):
     """
     X = as_matrix(X, "X")
     n = X.shape[1]
-    if not 1 <= q_prime <= n - 1:
-        raise ValueError(f"q_prime must be in [1, {n - 1}], got {q_prime}")
-    if t != int(t) or t < 1:
-        raise ValueError(f"diffusion time must be a positive integer, got {t}")
-    t = int(t)
+    if not (is_integer(q_prime) and 1 <= q_prime <= n - 1):
+        raise ValueError(
+            f"q_prime must be an integer in [1, {n - 1}], got {q_prime!r}"
+        )
+    if not (is_integer(t) and t >= 1):
+        raise ValueError(f"diffusion time must be a positive integer, got {t!r}")
 
     W0 = affinity_complete(X, h)
     d0 = W0.sum(axis=1)
@@ -103,8 +105,8 @@ def select_landmarks(X, gamma, seed):
     """Uniformly subsample round(n^gamma) landmark indices, sorted ascending."""
     X = as_matrix(X, "X")
     n = X.shape[1]
-    if not 0 < gamma < 1:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+    if not (is_real(gamma) and 0 < gamma < 1):
+        raise ValueError(f"gamma must be a real number in (0, 1), got {gamma!r}")
     m = round_half_up(n ** gamma)
     if m < 2:
         raise ValueError(f"landmark count round({n}^{gamma}) = {m} < 2")
@@ -131,9 +133,9 @@ def roseland_embed(X, landmarks, h, q_prime, t):
     landmarks = np.asarray(landmarks, dtype=int)
     n = X.shape[1]
     m = landmarks.size
-    if not 1 <= q_prime <= min(n, m) - 1:
+    if not (is_integer(q_prime) and 1 <= q_prime <= min(n, m) - 1):
         raise ValueError(
-            f"q_prime must be in [1, {min(n, m) - 1}], got {q_prime}"
+            f"q_prime must be an integer in [1, {min(n, m) - 1}], got {q_prime!r}"
         )
 
     Wb = np.exp(-pairwise_sq_dist(X, X[:, landmarks]) / h)

@@ -5,7 +5,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import as_matrix, kept_eigenvectors, short_side_spectrum, svd
+from .numerics import (
+    as_matrix, is_integer, kept_eigenvectors, short_side_spectrum, svd)
 from .synth import msnr
 
 
@@ -31,8 +32,8 @@ def baseline_tsvd(X, r):
     """
     X = as_matrix(X, "X")
     q = min(X.shape)
-    if not 0 <= r <= q:
-        raise ValueError(f"rank must be in [0, {q}], got {r}")
+    if not (is_integer(r) and 0 <= r <= q):
+        raise ValueError(f"rank must be an integer in [0, {q}], got {r!r}")
     if r == 0:
         return np.zeros_like(X)
     # in power-of-two units the Gram matrix neither overflows nor underflows;

@@ -39,10 +39,12 @@ class PipelineConfig:
             raise ValueError(
                 f"global_mode must be one of {_MODES}, got {self.global_mode!r}"
             )
-        for name in ("K", "k_local", "q_prime", "k_imp", "seed"):
+        for name in ("K", "k_local", "q_prime", "k_imp"):
             value = getattr(self, name)
             if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 1 <= self.k_local < self.K < n:
             raise ValueError(
                 f"need 1 <= k ({self.k_local}) < K ({self.K}) < n ({n})"

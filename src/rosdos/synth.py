@@ -176,6 +176,8 @@ def msnr(S, Xi):
     Xi = as_matrix(Xi, "noise")
     if S.shape != Xi.shape:
         raise ValueError(f"shape mismatch: {S.shape} vs {Xi.shape}")
+    if S.shape[1] < 2:
+        raise ValueError(f"mSNR needs at least two samples, got {S.shape[1]}")
     tr_s = float(np.sum(np.var(S, axis=1, ddof=1)))
     tr_x = float(np.sum(np.var(Xi, axis=1, ddof=1)))
     if tr_x <= 0:

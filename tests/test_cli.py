@@ -59,6 +59,14 @@ class TestSimulate:
              "--noise", "gaussian", "--alpha", 1, "--out", tmp_path]
         ) == EXIT_USAGE
 
+    def test_one_sample_exit_two(self, tmp_path, capsys):
+        assert run(
+            ["simulate", "--manifold", "m3", "--p", 10, "--n", 1,
+             "--noise", "gaussian", "--out", tmp_path / "x"]
+        ) == EXIT_USAGE
+        assert "at least two samples" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x")
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
     def test_bad_alpha_exit_two(self, tmp_path, capsys, alpha):
         assert run(
@@ -121,7 +129,31 @@ class TestDenoise:
             )
             assert code == EXIT_USAGE
             assert "t must be positive and finite" in capsys.readouterr().err
+        for mode in ("roseland", "global-shrink", "shrink-only"):
+            code = run(
+                ["denoise", "--input", dataset / "noisy.csv", "--mode", mode,
+                 "--K", 50, "--k", 5, "--seed", -1, "--out", tmp_path / "x"]
+            )
+            assert code == EXIT_USAGE
+            assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "x")
+
+    def test_every_flag_reaches_its_config_field(self, tmp_path, dataset):
+        out = tmp_path / "den"
+        code = run(
+            ["denoise", "--input", dataset / "noisy.csv", "--mode", "global-shrink",
+             "--h", 2.5, "--gamma", 0.4, "--q", 5, "--t", 2, "--K", 40, "--k", 7,
+             "--k-imp", 8, "--seed", 3, "--out", out]
+        )
+        assert code == EXIT_OK
+        expected = PipelineConfig(
+            global_mode="global-shrink", h=2.5, gamma=0.4, q_prime=5, t=2.0,
+            K=40, k_local=7, k_imp=8, seed=3,
+        )
+        for name, value in expected.to_dict().items():
+            assert value != getattr(PipelineConfig(), name), name
+        diag = storage.load_json(out / "diagnostics.json")
+        assert diag["config"] == expected.to_dict()
 
     def test_underflowing_diffusion_time_exit_two(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -258,6 +290,8 @@ class TestExperiment:
          "t must be positive and finite, got -1"),
         ({"pipeline": {"K": 30, "k_local": 5, "t": "1"}},
          "t must be positive and finite, got '1'"),
+        ({"baseline": ["raw"]}, "unknown experiment keys ['baseline']"),
+        ({"sed": 7}, "unknown experiment keys ['sed']"),
     ])
     def test_bad_config_exit_two_before_any_cell(
         self, tmp_path, monkeypatch, capsys, change, message

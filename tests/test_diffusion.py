@@ -104,6 +104,18 @@ class TestDmEmbed:
         with pytest.raises(ValueError):
             dm_embed(X, 1.0, 2, 0.5)
 
+    @pytest.mark.parametrize("q_prime, t, message", [
+        (2.5, 1, "q_prime must be an integer"),
+        (True, 1, "q_prime must be an integer"),
+        (2, "1", "diffusion time must be a positive integer, got '1'"),
+        (2, True, "diffusion time must be a positive integer, got True"),
+        (2, 1.0, "diffusion time must be a positive integer, got 1.0"),
+    ])
+    def test_rejects_non_integer_arguments(self, q_prime, t, message):
+        X = np.random.default_rng(5).standard_normal((3, 30))
+        with pytest.raises(ValueError, match=message):
+            dm_embed(X, 1.0, q_prime, t)
+
 
 class TestSelectLandmarks:
     def test_count(self):
@@ -123,6 +135,11 @@ class TestSelectLandmarks:
     def test_too_few_landmarks(self):
         with pytest.raises(ValueError):
             select_landmarks(np.zeros((2, 2)), 0.1, 0)
+
+    @pytest.mark.parametrize("gamma", ["0.5", True, None, np.nan, 1.0])
+    def test_rejects_gamma_not_real_in_unit_interval(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be a real number in"):
+            select_landmarks(np.zeros((3, 30)), gamma, 0)
 
 
 class TestRoselandEmbed:
@@ -167,6 +184,12 @@ class TestRoselandEmbed:
         X = np.random.default_rng(8).standard_normal((3, 30))
         with pytest.raises(ValueError, match=message):
             roseland_embed(X, np.arange(0, 30, 3), h, 3, t)
+
+    @pytest.mark.parametrize("q_prime", [2.5, True, "2", 0])
+    def test_rejects_q_prime_not_a_valid_integer(self, q_prime):
+        X = np.random.default_rng(8).standard_normal((3, 30))
+        with pytest.raises(ValueError, match="q_prime must be an integer in"):
+            roseland_embed(X, np.arange(0, 30, 3), 2.0, q_prime, 1.0)
 
     def test_fractional_time_allowed(self):
         rng = np.random.default_rng(8)

@@ -70,6 +70,12 @@ class TestBaselineTsvd:
         with pytest.raises(ValueError):
             baseline_tsvd(np.ones((3, 5)), 4)
 
+    @pytest.mark.parametrize("r", [1.5, True, "1", None])
+    def test_rejects_non_integer_rank(self, r):
+        X = np.random.default_rng(5).standard_normal((3, 30))
+        with pytest.raises(ValueError, match="rank must be an integer in"):
+            baseline_tsvd(X, r)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         short=st.integers(1, 8),

@@ -38,7 +38,7 @@ class TestPipelineConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("K", 50.5), ("k_local", 2.5), ("q_prime", 2.5), ("k_imp", 3.5),
-         ("K", True), ("seed", 1.5)],
+         ("K", True), ("seed", 1.5), ("seed", -1)],
     )
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -286,6 +286,10 @@ class TestMsnr:
         with pytest.raises(ValueError):
             msnr(np.random.default_rng(3).standard_normal((3, 10)), np.zeros((3, 10)))
 
+    def test_rejects_one_sample(self):
+        with pytest.raises(ValueError, match="at least two samples, got 1"):
+            msnr(np.ones((3, 1)), np.zeros((3, 1)))
+
 
 class TestMakeDataset:
     def test_large_alpha_limit(self):
