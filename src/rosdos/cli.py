@@ -202,6 +202,9 @@ def cmd_experiment(args):
     for key in ("manifolds", "noises", "alphas", "baselines"):
         if not isinstance(config[key], list):
             raise ValueError(f"{key} must be a JSON array, got {config[key]!r}")
+    out = config["output_dir"]
+    if not isinstance(out, str) or not out:
+        raise ValueError(f"output_dir must be a non-empty path string, got {out!r}")
     grid = list(itertools.product(
         config["manifolds"], config["noises"], config["alphas"]))
     if not grid:
@@ -222,7 +225,6 @@ def cmd_experiment(args):
     # cfg carries the master seed, so validate checks it; each cell then
     # runs at a seed derived from it
     cfg = _pipeline_config(config["pipeline"], n, seed=config["seed"])
-    out = config["output_dir"]
     os.makedirs(out, exist_ok=True)
 
     rows = []

@@ -134,12 +134,17 @@ def kept_eigenvectors(gram, spectrum, index):
             U[:, j] = x
     except np.linalg.LinAlgError:
         return None
-    if len(index) > 1:
-        overlap = U.T @ U
-        overlap.flat[::len(index) + 1] -= 1.0
-        if np.max(np.abs(overlap)) > 64 * n * eps:
-            return None
+    if len(index) > 1 and not is_orthonormal(U):
+        return None
     return U
+
+
+def is_orthonormal(Q):
+    """True when max |Q^T Q - I| is within 64 m eps, m = Q's row count; a
+    non-finite Q fails."""
+    overlap = Q.T @ Q
+    overlap.flat[::overlap.shape[0] + 1] -= 1.0
+    return bool(np.max(np.abs(overlap)) <= 64 * Q.shape[0] * np.finfo(float).eps)
 
 
 def pairwise_sq_dist(A, B):
@@ -182,25 +187,52 @@ def entrywise_median(columns):
     return (S[..., h - 1] + S[..., h]) / 2
 
 
-def haar_frame(G):
-    """Q factor of G's thin QR with column signs fixed so R's diagonal is >= 0.
-
-    For G with i.i.d. standard-normal entries this is a Haar-distributed
-    orthonormal frame of G's shape (Mezzadri 2007).
-    """
+def _householder_frame(G):
+    """Q factor of G's Householder thin QR with column signs fixed so R's
+    diagonal is >= 0."""
     Q, R = np.linalg.qr(G)
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
     return Q * signs[None, :]
 
 
+def q_factor(A, R):
+    """A R^-1, the Q factor of A = Q R for a square upper-triangular R; None
+    when R is singular or the product fails is_orthonormal."""
+    with np.errstate(all="ignore"):  # a non-finite product fails the check
+        try:
+            Q = A @ np.linalg.inv(R)
+        except np.linalg.LinAlgError:
+            return None
+        return Q if is_orthonormal(Q) else None
+
+
+def haar_frame(G):
+    """Q factor of G's thin QR with R's diagonal >= 0.
+
+    For G with i.i.d. standard-normal entries this is a Haar-distributed
+    orthonormal frame of G's shape (Mezzadri 2007). It comes from Cholesky
+    QR: with L = cholesky(G^T G), Q = G L^-T and R = L^T, whose diagonal is
+    positive. G is first scaled by a power of two, which is exact, so that
+    G^T G cannot overflow. Householder QR of G is the fallback, taken when
+    cholesky raises or q_factor returns None (G wide or ill-conditioned).
+    """
+    scaled = np.ldexp(G, -np.frexp(np.max(np.abs(G)))[1])
+    try:
+        L = np.linalg.cholesky(scaled.T @ scaled)
+    except np.linalg.LinAlgError:
+        return _householder_frame(G)
+    Q = q_factor(scaled, L.T)
+    return _householder_frame(G) if Q is None else Q
+
+
 def random_orthogonal(dim, seed):
-    """Haar-distributed dim x dim orthogonal matrix: haar_frame of a square
-    Gaussian."""
+    """Haar-distributed dim x dim orthogonal matrix: the sign-fixed
+    Householder Q factor of a square Gaussian."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
-    return haar_frame(rng.standard_normal((dim, dim)))
+    return _householder_frame(rng.standard_normal((dim, dim)))
 
 
 def round_half_up(x):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    as_matrix, haar_frame, is_integer, is_real, random_orthogonal)
+    as_matrix, haar_frame, is_integer, is_real, q_factor, random_orthogonal)
 
 
 @dataclass
@@ -95,8 +95,13 @@ def _times_b_half(left, d, rng_h, rng_f):
     factor. The result has the same distribution as with a dense O.
     """
     p, n = left.shape
-    V, C = np.linalg.qr(left.T)
-    r = V.shape[1]
+    # C is Householder's R, signs included, which the draw depends on; V
+    # comes from it, and left^T's Householder Q factor is the fallback
+    C = np.linalg.qr(left.T, mode="r")
+    r = C.shape[0]
+    V = q_factor(left.T[:, :r], C[:, :r])
+    if V is None:
+        V, C = np.linalg.qr(left.T)
     H = haar_frame(rng_h.standard_normal((n, r)))
     Y = d[:, None] * (H @ C)
     Yh = H.T @ Y
@@ -187,14 +192,21 @@ def msnr(S, Xi):
 
 def check_specs(mspec, nspec):
     """Raise ValueError unless the specs name a known manifold and noise, with
-    integer p and n and a finite alpha >= 0. The samplers check their own
-    size minimums."""
+    integer p, an integer n >= 2 (msnr's minimum), integer seeds >= 0 and a
+    finite alpha >= 0. The samplers check their own minimums for p."""
     if mspec.kind not in ("m1", "m3"):
         raise ValueError(f"unknown manifold kind {mspec.kind!r}")
     for name in ("p", "n"):
         value = getattr(mspec, name)
         if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    if mspec.n < 2:
+        raise ValueError(
+            f"n must be >= 2 (mSNR needs at least two samples), got {mspec.n}")
+    for spec, name in ((mspec, "manifold"), (nspec, "noise")):
+        if not is_integer(spec.seed) or spec.seed < 0:
+            raise ValueError(
+                f"{name} seed must be an integer >= 0, got {spec.seed!r}")
     if nspec.kind not in ("gaussian", "separable"):
         raise ValueError(f"unknown noise kind {nspec.kind!r}")
     alpha = nspec.alpha

@@ -67,6 +67,19 @@ class TestSimulate:
         assert "at least two samples" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "x")
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--n", 0, "--noise", "gaussian"], "n must be >= 2"),
+        (["--n", -5, "--noise", "separable"], "n must be >= 2"),
+        (["--n", 50, "--noise", "separable", "--seed", -1],
+         "manifold seed must be an integer >= 0, got -1"),
+    ])
+    def test_bad_size_or_seed_exit_two(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x"
+        assert run(["simulate", "--manifold", "m3", "--p", 10, *flags,
+                    "--out", out]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
     def test_bad_alpha_exit_two(self, tmp_path, capsys, alpha):
         assert run(
@@ -292,6 +305,10 @@ class TestExperiment:
          "t must be positive and finite, got '1'"),
         ({"baseline": ["raw"]}, "unknown experiment keys ['baseline']"),
         ({"sed": 7}, "unknown experiment keys ['sed']"),
+        ({"output_dir": None}, "output_dir must be a non-empty path string, got None"),
+        ({"output_dir": 5}, "output_dir must be a non-empty path string, got 5"),
+        ({"output_dir": []}, "output_dir must be a non-empty path string, got []"),
+        ({"output_dir": ""}, "output_dir must be a non-empty path string, got ''"),
     ])
     def test_bad_config_exit_two_before_any_cell(
         self, tmp_path, monkeypatch, capsys, change, message

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rosdos import numerics
 from rosdos.numerics import (
     entrywise_median,
+    haar_frame,
     kept_eigenvectors,
     pairwise_sq_dist,
     random_orthogonal,
@@ -133,9 +134,69 @@ class TestRandomOrthogonal:
     def test_seed_reproducible(self):
         assert np.array_equal(random_orthogonal(8, 11), random_orthogonal(8, 11))
 
+    @pytest.mark.parametrize("dim", [1, 5, 200])
+    def test_householder_factor_of_a_square_gaussian(self, dim):
+        G = np.random.default_rng(6).standard_normal((dim, dim))
+        assert np.array_equal(random_orthogonal(dim, 6), householder_frame(G))
+
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
             random_orthogonal(0, 1)
+
+
+def householder_frame(G):
+    """haar_frame before Cholesky QR: numpy's Householder Q factor with its
+    column signs fixed so R's diagonal is >= 0."""
+    Q, R = np.linalg.qr(G)
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    return Q * signs[None, :]
+
+
+class TestHaarFrame:
+    @pytest.mark.parametrize("shape", [(2000, 200), (300, 40), (8, 3)])
+    def test_matches_householder_on_tall_gaussians(self, shape):
+        for seed in range(3):
+            G = np.random.default_rng(seed).standard_normal(shape)
+            Q = haar_frame(G)
+            assert Q.shape == shape
+            assert np.max(np.abs(Q - householder_frame(G))) <= 64 * shape[0] * EPS
+
+    def test_repeated_column_takes_householder(self):
+        # G^T G is singular, so cholesky raises and Householder QR runs on G
+        G = np.random.default_rng(4).standard_normal((50, 6))
+        G[:, 4] = G[:, 1]
+        assert np.array_equal(haar_frame(G), householder_frame(G))
+
+    def test_q_factor_none_unless_orthonormal(self):
+        A = np.random.default_rng(7).standard_normal((30, 4))
+        R = np.linalg.qr(A, mode="r")
+        assert np.max(np.abs(numerics.q_factor(A, R) - np.linalg.qr(A)[0])) <= 1e-14
+        assert numerics.q_factor(A, 2 * R) is None
+        assert numerics.q_factor(A, np.zeros((4, 4))) is None  # singular
+        assert numerics.q_factor(A, 1e-320 * np.eye(4)) is None  # A R^-1 overflows
+
+    def test_wide_input_takes_householder(self):
+        G = np.random.default_rng(5).standard_normal((3, 7))
+        assert np.array_equal(haar_frame(G), householder_frame(G))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        rows=st.integers(1, 80),
+        data=st.data(),
+        j=st.integers(-1000, 1000),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_orthonormal_with_positive_r_diagonal(self, rows, data, j, seed):
+        cols = data.draw(st.integers(1, rows), label="cols")
+        G = np.ldexp(np.random.default_rng(seed).standard_normal((rows, cols)), j)
+        Q = haar_frame(G)
+        assert Q.shape == (rows, cols)
+        assert np.max(np.abs(Q.T @ Q - np.eye(cols))) <= 64 * rows * EPS
+        R = np.ldexp(Q.T @ G, -j)  # G's R factor, in the units of the Gaussian
+        scale = np.linalg.norm(R)
+        assert np.max(np.abs(np.tril(R, -1)), initial=0.0) <= 64 * rows * EPS * scale
+        assert np.all(np.diag(R) > 0)
 
 
 def test_round_half_up():

@@ -58,6 +58,33 @@ def times_b_half_with_q(left, d, rng_h, rng_f):
     return out
 
 
+def householder_frame(G):
+    """synth.haar_frame as first written: the sign-fixed Householder Q."""
+    Q, R = np.linalg.qr(G)
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    return Q * signs[None, :]
+
+
+def times_b_half_householder(left, d, rng_h, rng_f):
+    """times_b_half_with_q with every frame a Householder Q factor."""
+    p, n = left.shape
+    V, C = np.linalg.qr(left.T)
+    r = V.shape[1]
+    H = householder_frame(rng_h.standard_normal((n, r)))
+    Y = d[:, None] * (H @ C)
+    Yh = H.T @ Y
+    out = Yh.T @ V.T
+    s = min(p, n - r)
+    if s > 0:
+        E = Y - H @ Yh
+        F = np.linalg.qr(E)[0][:, :s]
+        G = rng_f.standard_normal((n, s))
+        Fp = householder_frame(G - V @ (V.T @ G))
+        out += (E.T @ F) @ Fp.T
+    return out
+
+
 def noise_statistics(Xi):
     """Xi[0,0], Xi[1,2], rows 0 and 1's inner product, column 0's squared
     norm and the squared Frobenius norm, for one matrix or a stack."""
@@ -240,6 +267,31 @@ class TestSeparableNoise:
         assert np.array_equal(b_eigs, ref_b)
         assert np.array_equal(A, ref_A)
 
+    @pytest.mark.parametrize("p,n", [
+        (200, 2000), (60, 100), (40, 300), (60, 40), (5, 3), (4, 4), (300, 10)])
+    def test_same_draws_as_householder_frames(self, monkeypatch, p, n):
+        # Cholesky QR and V from C change only rounding, not the draw
+        Xi = separable_noise(p, n, 5)[0]
+        monkeypatch.setattr(synth, "_times_b_half", times_b_half_householder)
+        ref = separable_noise(p, n, 5)[0]
+        assert np.max(np.abs(Xi - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_forms_no_tall_q_factor(self, monkeypatch):
+        tall_q, r_only = [], []
+        real = np.linalg.qr
+
+        def recording(a, mode="reduced"):
+            if mode == "r":
+                r_only.append(a.shape)
+            elif a.shape[0] > a.shape[1]:
+                tall_q.append(a.shape)
+            return real(a, mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        separable_noise(200, 2000, 0)
+        assert tall_q == []
+        assert r_only == [(2000, 200), (2000, 200)]
+
     def test_row_side_draws_unchanged(self):
         # A's spectrum and rotation and B's spectrum come from the same random
         # streams as the n x n construction's; only B's rotation is new
@@ -340,6 +392,20 @@ class TestMakeDataset:
     def test_non_integer_sizes_rejected_before_sampling(self, no_sampling, p, n):
         with pytest.raises(ValueError, match="must be an integer"):
             make_dataset(ManifoldSpec("m1", p, n, 0), NoiseSpec("gaussian", 1.0, 0))
+
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    @pytest.mark.parametrize("noise", ["gaussian", "separable"])
+    def test_too_few_samples_rejected_before_sampling(self, no_sampling, n, noise):
+        with pytest.raises(ValueError, match=f"n must be >= 2 .*, got {n}$"):
+            make_dataset(ManifoldSpec("m1", 20, n, 0), NoiseSpec(noise, 1.0, 1))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "3"])
+    @pytest.mark.parametrize("noise", ["gaussian", "separable"])
+    def test_bad_seeds_rejected_before_sampling(self, no_sampling, seed, noise):
+        with pytest.raises(ValueError, match="manifold seed must be an integer >= 0"):
+            make_dataset(ManifoldSpec("m1", 20, 30, seed), NoiseSpec(noise, 1.0, 1))
+        with pytest.raises(ValueError, match="noise seed must be an integer >= 0"):
+            make_dataset(ManifoldSpec("m1", 20, 30, 0), NoiseSpec(noise, 1.0, seed))
 
     @pytest.mark.parametrize(
         "alpha", [-1.0, math.nan, math.inf, -math.inf, True, "0.5", None])
