@@ -25,16 +25,12 @@ from .pipeline import (
     rosdos,
 )
 from .shrinkage import (
-    DegenerateShrinkageError,
     ShrinkageError,
     ShrinkageOutput,
-    StieltjesEstimates,
     eoptshrink,
     estimate_bulk_edge,
     estimate_effective_rank,
     impute_noise_eigs,
-    shrink_singular_value,
-    stieltjes_estimates,
 )
 from .synth import (
     ManifoldSpec,

@@ -77,16 +77,21 @@ class GlobalMetric:
         """K nearest neighbor indices (excluding self) for every point,
         nearest first, ties by lowest index.
 
-        Takes block rows at a time; by default as many as keep one block of
-        squared distances within _BLOCK_BYTES.
+        K is an integer in [1, n - 1]. Takes block rows at a time, an integer
+        >= 1; by default as many as keep one block of squared distances
+        within _BLOCK_BYTES.
         """
         n = self.coords.shape[0]
+        if not (is_integer(K) and 1 <= K < n):
+            raise ValueError(f"K must be an integer in [1, {n - 1}], got {K!r}")
+        if block is None:
+            block = max(1, _BLOCK_BYTES // (8 * n))
+        elif not (is_integer(block) and block >= 1):
+            raise ValueError(f"block must be None or an integer >= 1, got {block!r}")
         P = self.coords.T
         if P.shape[0] == 0:  # rank 0: every distance is 0
             P = np.zeros((1, n))
         P = as_matrix(P, "coords")
-        if block is None:
-            block = max(1, _BLOCK_BYTES // (8 * n))
         p2 = np.sum(P * P, axis=0)
         out = np.empty((n, K), dtype=int)
         for start in range(0, n, block):
@@ -172,8 +177,9 @@ def recover_point(X, patch, local_dists, k_local):
     if d.shape != patch.shape or patch.ndim not in (1, 2):
         raise ValueError("local_dists must match the patch, one or two axes")
     width = patch.shape[-1]
-    if not 1 <= k_local <= width:
-        raise ValueError(f"k_local must be in [1, {width}], got {k_local}")
+    if not (is_integer(k_local) and 1 <= k_local <= width):
+        raise ValueError(
+            f"k_local must be an integer in [1, {width}], got {k_local!r}")
     order = np.argsort(d, axis=-1, kind="stable")[..., :k_local]
     sel = np.take_along_axis(patch, order, axis=-1)
     return entrywise_median(X[:, sel])

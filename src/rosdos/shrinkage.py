@@ -25,27 +25,6 @@ class ShrinkageError(ValueError):
     """Invalid input to a shrinkage operation."""
 
 
-class DegenerateShrinkageError(ShrinkageError):
-    """A component sits too close to the noise bulk to be shrunk reliably."""
-
-    def __init__(self, component, detail=""):
-        self.component = component
-        msg = f"degenerate shrinkage for component {component}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-
-
-@dataclass
-class StieltjesEstimates:
-    m1: float
-    m2: float
-    m1p: float
-    m2p: float
-    T: float
-    Tp: float
-
-
 @dataclass
 class ShrinkageOutput:
     spectrum: np.ndarray        # noisy eigenvalues of X X^T (after orientation)
@@ -112,49 +91,6 @@ def impute_noise_eigs(spectrum, k):
     return lam[k] + profile * (lam[k] - lam[2 * k])
 
 
-def stieltjes_estimates(spectrum, imputed, i, beta):
-    """Empirical Stieltjes-transform quantities at the i-th (0-based) spike.
-
-    The first len(imputed) noisy eigenvalues are replaced by the imputed noise
-    eigenvalues; the remainder of the spectrum enters as observed.
-    """
-    lam = np.asarray(spectrum, dtype=float)
-    imp = np.asarray(imputed, dtype=float)
-    k = imp.size
-    p = lam.size
-    li = lam[i]
-    if li <= 0:
-        raise DegenerateShrinkageError(i, "nonpositive eigenvalue")
-    tail = lam[k:]
-    if np.any(imp >= li) or np.any(tail >= li):
-        raise DegenerateShrinkageError(
-            i, "eigenvalue not separated from the imputed bulk"
-        )
-    m1 = (np.sum(1.0 / (imp - li)) + np.sum(1.0 / (tail - li))) / p
-    m2 = beta * m1 - (1.0 - beta) / li
-    m1p = (np.sum(1.0 / (imp - li) ** 2) + np.sum(1.0 / (tail - li) ** 2)) / p
-    m2p = (1.0 - beta) / li ** 2 + beta * m1p
-    T = li * m1 * m2
-    Tp = m1 * m2 + li * m1p * m2 + li * m1 * m2p
-    if T <= 0 or Tp >= 0:
-        raise DegenerateShrinkageError(i, f"T={T:.3g}, Tp={Tp:.3g}")
-    return StieltjesEstimates(m1=m1, m2=m2, m1p=m1p, m2p=m2p, T=T, Tp=Tp)
-
-
-def shrink_singular_value(lam_i, est):
-    """Optimally shrunk singular value for an outlier eigenvalue lam_i."""
-    phi2 = 1.0 / est.T
-    a1 = est.m1 / (phi2 * est.Tp)
-    a2 = est.m2 / (phi2 * est.Tp)
-    prod = a1 * a2
-    if prod <= 0:
-        raise DegenerateShrinkageError(-1, f"a1*a2={prod:.3g}")
-    d = np.sqrt(phi2) * np.sqrt(prod)
-    if not np.isfinite(d) or d <= 0:
-        raise DegenerateShrinkageError(-1, f"d={d!r}")
-    return float(d)
-
-
 def _rank_estimates(spectrum, n, k):
     """Bulk edge, rank threshold, effective rank, and the imputation count k
     raised to effective_rank + 5 when the rank reaches it."""
@@ -178,11 +114,11 @@ def _shrink_components(spectrum, r, k, k_used, beta):
     if r == 0:
         notes.append("effective rank 0: denoised matrix is zero")
         return notes, np.array([]), np.array([], dtype=int), np.array([])
-    # The sums over the spectrum in stieltjes_estimates, for components
-    # 0..r-1 in one array pass; the O(1) rest of it and shrink_singular_value
-    # on numpy scalars, which cost a tenth of an array operation. The
-    # operations and their order are those two functions', so the values
-    # are bit-identical, and the note of a dropped component comes from them.
+    # The Stieltjes-transform sums over the spectrum, for components 0..r-1
+    # in one array pass; the O(1) rest of the rule on numpy scalars, which
+    # cost a tenth of an array operation. A component is dropped at the
+    # first check it fails, in the rule's order; a NaN in T, Tp or a1*a2
+    # passes every comparison and carries into d, whose check it fails.
     imputed = impute_noise_eigs(spectrum, k_used)
     li = spectrum[:r]
     gaps = np.concatenate((imputed, spectrum[k_used:])) - li[:, None]
@@ -202,16 +138,22 @@ def _shrink_components(spectrum, r, k, k_used, beta):
             phi2 = 1.0 / T
             prod = m1 / (phi2 * Tp) * (m2 / (phi2 * Tp))
             d = np.sqrt(phi2) * np.sqrt(prod)
-            if (lam > 0 and separated[i] and T > 0 and Tp < 0 and prod > 0
-                    and 0 < d < np.inf):
+            if lam <= 0:
+                why = "nonpositive eigenvalue"
+            elif not separated[i]:
+                why = "eigenvalue not separated from the imputed bulk"
+            elif T <= 0 or Tp >= 0:
+                why = f"T={T:.3g}, Tp={Tp:.3g}"
+            elif prod <= 0:
+                why = f"a1*a2={prod:.3g}"
+            elif not 0 < d < np.inf:
+                why = f"d={float(d)!r}"
+            else:
                 kept.append(i)
                 shrunk.append(float(d))
                 continue
-            try:
-                shrink_singular_value(lam, stieltjes_estimates(
-                    spectrum, imputed, i, beta))
-            except DegenerateShrinkageError as exc:
-                notes.append(f"component {i} dropped: {exc}")
+            notes.append(f"component {i} dropped: degenerate shrinkage for "
+                         f"component {i}: {why}")
     return notes, imputed, np.array(kept, dtype=int), np.array(shrunk)
 
 

@@ -125,7 +125,7 @@ class TestGlobalMetric:
         rng = np.random.default_rng(5)
         pts = rng.integers(0, 3, size=(60, 2)).astype(float)
         m = GlobalMetric(kind="diffusion", coords=np.concatenate([pts, pts[:25]]))
-        for K, block in [(7, 16), (30, 32), (84, 512)]:
+        for K, block in [(7, 16), (30, 32), (84, 512), (np.int64(84), np.int64(1))]:
             ref = reference_neighborhoods(m.coords, K, block)
             assert np.array_equal(m.neighborhoods(K, block=block), ref)
 
@@ -143,6 +143,18 @@ class TestGlobalMetric:
             ref = reference_neighborhoods(coords, K, block)
             assert np.array_equal(m.neighborhoods(K), ref)
             assert np.array_equal(m.neighborhoods(K, block=97), ref)
+
+    @pytest.mark.parametrize("K", [0, -1, 10, 11, 2.0, True, None])
+    def test_neighborhoods_bad_K_rejected(self, K):
+        m = GlobalMetric(kind="diffusion", coords=np.zeros((10, 2)))
+        with pytest.raises(ValueError, match=r"K must be an integer in \[1, 9\]"):
+            m.neighborhoods(K)
+
+    @pytest.mark.parametrize("block", [0, -1, 2.0, 1.5, True, "4"])
+    def test_neighborhoods_bad_block_rejected(self, block):
+        m = GlobalMetric(kind="diffusion", coords=np.zeros((10, 2)))
+        with pytest.raises(ValueError, match="block must be None or an integer >= 1"):
+            m.neighborhoods(3, block=block)
 
     def test_noisy_m1_recall_beats_raw(self):
         p, n, K = 200, 2000, 100
@@ -219,7 +231,8 @@ class TestRecoverPoint:
 
     def test_median_example(self):
         Xi = np.array([[1.0, 2.0, 100.0]])
-        assert recover_point(Xi, np.arange(Xi.shape[1]), [0.0, 0.1, 0.2], 3)[0] == 2.0
+        for k in (3, np.int64(3)):
+            assert recover_point(Xi, np.arange(Xi.shape[1]), [0.0, 0.1, 0.2], k)[0] == 2.0
 
     def test_tie_break_lowest_index(self):
         Xi = np.array([[5.0, 1.0, 2.0, 3.0]])
@@ -247,8 +260,10 @@ class TestRecoverPoint:
         assert np.linalg.norm(out - Xi[:, 0]) <= diam
 
     def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            recover_point(np.ones((2, 3)), np.arange(3), [0.0, 1.0, 2.0], 4)
+        for k in [4, 0, -1, True, 2.5, 2.0, "2", None]:
+            with pytest.raises(ValueError,
+                               match=r"k_local must be an integer in \[1, 3\]"):
+                recover_point(np.ones((2, 3)), np.arange(3), [0.0, 1.0, 2.0], k)
 
     def test_reads_only_selected_columns(self):
         X = np.arange(12.0).reshape(2, 6)

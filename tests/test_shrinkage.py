@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,19 +11,84 @@ from rosdos.numerics import (
 from rosdos.pipeline import (
     MODE_ROSELAND, MODE_SHRINK_ONLY, PipelineConfig, global_metric, rosdos)
 from rosdos.shrinkage import (
-    DegenerateShrinkageError,
     ShrinkageError,
     eoptshrink,
     estimate_bulk_edge,
     estimate_effective_rank,
     impute_noise_eigs,
-    shrink_singular_value,
-    stieltjes_estimates,
 )
 from rosdos.synth import ManifoldSpec, NoiseSpec, make_dataset
 
 EDGE_COEF = 1.0 / (2.0 ** (2.0 / 3.0) - 1.0)
 EPS = np.finfo(float).eps
+
+
+# The eOptShrink rule one component at a time, on scalars: the reference
+# that eoptshrink's array pass (shrinkage._shrink_components) must match
+# bit for bit, values and notes alike.
+
+class DegenerateShrinkageError(ShrinkageError):
+    """A component sits too close to the noise bulk to be shrunk reliably."""
+
+    def __init__(self, component, detail=""):
+        self.component = component
+        msg = f"degenerate shrinkage for component {component}"
+        if detail:
+            msg += f": {detail}"
+        super().__init__(msg)
+
+
+@dataclass
+class StieltjesEstimates:
+    m1: float
+    m2: float
+    m1p: float
+    m2p: float
+    T: float
+    Tp: float
+
+
+def stieltjes_estimates(spectrum, imputed, i, beta):
+    """Empirical Stieltjes-transform quantities at the i-th (0-based) spike.
+
+    The first len(imputed) noisy eigenvalues are replaced by the imputed noise
+    eigenvalues; the remainder of the spectrum enters as observed.
+    """
+    lam = np.asarray(spectrum, dtype=float)
+    imp = np.asarray(imputed, dtype=float)
+    k = imp.size
+    p = lam.size
+    li = lam[i]
+    if li <= 0:
+        raise DegenerateShrinkageError(i, "nonpositive eigenvalue")
+    tail = lam[k:]
+    if np.any(imp >= li) or np.any(tail >= li):
+        raise DegenerateShrinkageError(
+            i, "eigenvalue not separated from the imputed bulk"
+        )
+    m1 = (np.sum(1.0 / (imp - li)) + np.sum(1.0 / (tail - li))) / p
+    m2 = beta * m1 - (1.0 - beta) / li
+    m1p = (np.sum(1.0 / (imp - li) ** 2) + np.sum(1.0 / (tail - li) ** 2)) / p
+    m2p = (1.0 - beta) / li ** 2 + beta * m1p
+    T = li * m1 * m2
+    Tp = m1 * m2 + li * m1p * m2 + li * m1 * m2p
+    if T <= 0 or Tp >= 0:
+        raise DegenerateShrinkageError(i, f"T={T:.3g}, Tp={Tp:.3g}")
+    return StieltjesEstimates(m1=m1, m2=m2, m1p=m1p, m2p=m2p, T=T, Tp=Tp)
+
+
+def shrink_singular_value(lam_i, est, i):
+    """Optimally shrunk singular value for the i-th outlier eigenvalue lam_i."""
+    phi2 = 1.0 / est.T
+    a1 = est.m1 / (phi2 * est.Tp)
+    a2 = est.m2 / (phi2 * est.Tp)
+    prod = a1 * a2
+    if prod <= 0:
+        raise DegenerateShrinkageError(i, f"a1*a2={prod:.3g}")
+    d = np.sqrt(phi2) * np.sqrt(prod)
+    if not np.isfinite(d) or d <= 0:
+        raise DegenerateShrinkageError(i, f"d={float(d)!r}")
+    return float(d)
 
 
 def noise_spectrum(p, n, seed):
@@ -161,7 +227,7 @@ class TestShrink:
         spectrum = np.array([9.0, 1.0, 0.5])
         imputed = impute_noise_eigs(spectrum, 1)
         est = stieltjes_estimates(spectrum, imputed, 0, 0.5)
-        d = shrink_singular_value(9.0, est)
+        d = shrink_singular_value(9.0, est, 0)
         assert d == pytest.approx(2.428, abs=1e-3)
         assert d < 3.0  # never amplifies: d < sigma = sqrt(9)
 
@@ -195,7 +261,7 @@ class TestShrink:
             spectrum = np.concatenate([[lam], bulk])
             imputed = impute_noise_eigs(spectrum, 10)
             est = stieltjes_estimates(spectrum, imputed, 0, 0.5)
-            ratios.append(shrink_singular_value(lam, est) / np.sqrt(lam))
+            ratios.append(shrink_singular_value(lam, est, 0) / np.sqrt(lam))
         assert np.all(np.diff(ratios) > 0)
         assert ratios[-1] == pytest.approx(1.0, abs=1e-3)
 
@@ -358,19 +424,28 @@ def reference_estimates(lam, pw, nw, k):
         k = r + 5
     kept, shrunk = [], []
     if r > 0:
-        imputed = impute_noise_eigs(lam, k)
-        for i in range(r):
-            try:
-                est = stieltjes_estimates(lam, imputed, i, pw / nw)
-                shrunk.append(shrink_singular_value(lam[i], est))
-            except DegenerateShrinkageError as exc:
-                notes.append(f"component {i} dropped: {exc}")
-                continue
-            kept.append(i)
+        kept, shrunk, dropped = scalar_components(
+            lam, impute_noise_eigs(lam, k), r, pw / nw)
+        notes += dropped
     else:
         notes.append("effective rank 0: denoised matrix is zero")
     return SimpleNamespace(edge=edge, r=r, k=k, kept=np.asarray(kept, dtype=int),
                            shrunk=np.asarray(shrunk), notes=notes)
+
+
+def scalar_components(lam, imputed, r, beta):
+    """The kept components among 0..r-1, their shrunk values and the notes of
+    the dropped ones, from stieltjes_estimates and shrink_singular_value."""
+    kept, shrunk, notes = [], [], []
+    for i in range(r):
+        try:
+            est = stieltjes_estimates(lam, imputed, i, beta)
+            shrunk.append(shrink_singular_value(lam[i], est, i))
+        except DegenerateShrinkageError as exc:
+            notes.append(f"component {i} dropped: {exc}")
+            continue
+        kept.append(i)
+    return kept, shrunk, notes
 
 
 def svd_reference(X, k=10):
@@ -435,7 +510,7 @@ class TestArrayRule:
         assert np.array_equal(kept, ref.kept)
         assert shrunk.tobytes() == ref.shrunk.tobytes()
         assert notes == ref.notes
-        return r, notes
+        return ref
 
     def test_m1_separable_patches(self, m1_separable):
         X = m1_separable
@@ -443,8 +518,7 @@ class TestArrayRule:
         ranks = set()
         for i in range(0, X.shape[1], 5):
             Xw, _, _, lam = short_side_spectrum(X[:, np.concatenate([[i], hoods[i]])])
-            r, _ = self.assert_matches_scalar(lam, *Xw.shape)
-            ranks.add(r)
+            ranks.add(self.assert_matches_scalar(lam, *Xw.shape).r)
         Xw, _, _, lam = short_side_spectrum(X)
         self.assert_matches_scalar(lam, *Xw.shape)
         assert len(ranks) > 1
@@ -454,11 +528,85 @@ class TestArrayRule:
         # imputed noise eigenvalues, which the 2k-th order statistic sets
         lam = np.concatenate([[100.0, 10.0], np.full(9, 5.0),
                               np.linspace(4.5, 0.0, 10), np.zeros(79)])
-        r, notes = self.assert_matches_scalar(lam, 100, 400)
-        assert r == 2
-        assert notes == [
+        ref = self.assert_matches_scalar(lam, 100, 400)
+        assert ref.r == 2
+        assert ref.notes == [
             "component 1 dropped: degenerate shrinkage for component 1: "
             "eigenvalue not separated from the imputed bulk"]
+
+    @pytest.mark.parametrize("exponent, note", [
+        # the squared gaps underflow: m1p is inf and Tp NaN, which every
+        # check but d's lets through
+        (-540, "d=nan"),
+        # lam_0 ** 2 overflows and Tp comes out a positive subnormal
+        (507, "T=2.42e-155, Tp=5.79e-310"),
+    ])
+    def test_notes_name_the_component_at_the_float_range_ends(
+            self, exponent, note):
+        # rank 2 is given: at 2^-540 the absolute rank margin n^(-1/3)
+        # would make it 0
+        lam = 2.0 ** exponent * np.concatenate(
+            [[100.0, 10.0], np.full(9, 5.0), np.linspace(4.5, 0.0, 10),
+             np.zeros(79)])
+        notes, imputed, kept, shrunk = shrinkage._shrink_components(
+            lam, 2, 10, 10, 0.25)
+        with np.errstate(all="ignore"):
+            ref = scalar_components(lam, imputed, 2, 0.25)
+        assert kept.tolist() == ref[0] == []
+        assert shrunk.tolist() == ref[1] == []
+        assert notes == ref[2] == [
+            f"component 0 dropped: degenerate shrinkage for component 0: {note}",
+            "component 1 dropped: degenerate shrinkage for component 1: "
+            "eigenvalue not separated from the imputed bulk"]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(),
+           case=st.sampled_from(["kept", "not separated", "rank 0", "raised k"]),
+           nw=st.integers(30, 3000),
+           level=st.floats(1.0, 100.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_spectra_match_scalar(self, data, case, nw, level, seed):
+        """Spectra whose bulk edge is exactly `level`: s spikes on top, level
+        through index max(2m, k_used), then a tail below level / 2. Each case
+        shows in the result, so every run covers all four."""
+        rng = np.random.default_rng(seed)
+        m = round_half_up(nw ** 0.25)
+        top = level + nw ** (-1.0 / 3.0)  # the rank threshold
+        # above every imputed noise eigenvalue, which is at most
+        # (1 + EDGE_COEF) * level
+        big = (1.0 + EDGE_COEF) * level * (3.0 + 10.0 * rng.random(m))
+        if case == "rank 0":
+            k, spikes = data.draw(st.integers(1, 5), "k"), []
+        elif case == "not separated":
+            # the second spike clears the threshold but not the first imputed
+            # eigenvalue, level + EDGE_COEF * (level - lam[2k]) >= 1.85 level
+            k = data.draw(st.integers(m + 1, m + 5), "k")
+            spikes = [big[0], top + rng.random() * (0.85 * level - (top - level))]
+        else:
+            s = data.draw(st.integers(1, m), "s")
+            k = data.draw(st.integers(s + 1, s + 5) if case == "kept"
+                          else st.integers(1, s), "k")
+            spikes = big[:s]
+        s = len(spikes)
+        k_used = k if s < k else s + 5
+        end = max(2 * m, k_used)
+        low = max(2 * k_used + 1, end + 2)
+        pw = data.draw(st.integers(low, min(nw, low + 150)), "pw")
+        lam = np.full(pw, float(level))
+        lam[:s] = np.sort(spikes)[::-1]
+        lam[end + 1:] = np.sort(rng.uniform(0.0, level / 2, pw - end - 1))[::-1]
+
+        ref = self.assert_matches_scalar(lam, pw, nw, k)
+        assert ref.r == s
+        if case == "rank 0":
+            assert ref.notes == ["effective rank 0: denoised matrix is zero"]
+        elif case == "not separated":
+            assert ref.kept.tolist() == [0]
+            assert ref.notes[-1].endswith("not separated from the imputed bulk")
+        else:
+            assert ref.kept.tolist() == list(range(s))
+            assert (ref.notes == [f"imputation count raised from {k} to {k_used}"]) \
+                == (case == "raised k")
 
 
 class TestAgainstSvdReference:
