@@ -6,21 +6,56 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .numerics import (
-    as_matrix, is_integer, kept_eigenvectors, short_side_spectrum, svd)
+    as_matrix, binary_exponent, is_integer, kept_eigenvectors,
+    short_side_spectrum, svd)
 from .synth import msnr
 
 
+# column norms outside this range may have overflowed, underflowed or lost
+# bits to subnormal squares
+_NORM_RANGE = (2.0 ** -450, 2.0 ** 450)
+
+
+def _column_norms(M):
+    """(norms, e): the Euclidean norm of column c is norms[c] * 2^e[c].
+
+    e is 0 where the plain norm is in _NORM_RANGE; the other columns are
+    taken again in power-of-two units, which scales each norm exactly, so a
+    ratio of two columns' norms is the same at any scale of M.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(M, axis=0)
+    e = np.zeros(norms.shape, dtype=int)
+    redo = np.flatnonzero(~((norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1])))
+    if redo.size:
+        sub = M[:, redo]
+        e[redo] = binary_exponent(sub, axis=0)
+        # in M's memory order, which sets the order numpy sums the squares in
+        order = "F" if abs(M.strides[0]) <= abs(M.strides[1]) else "C"
+        norms[redo] = np.linalg.norm(np.ldexp(sub, -e[redo], order=order), axis=0)
+    return norms, e
+
+
+def _norm_ratios(A, B):
+    """||a_i|| / ||b_i|| for each column pair, exact at any scale of A and B;
+    raises ValueError naming the first zero column of B."""
+    num, e_num = _column_norms(A)
+    den, e_den = _column_norms(B)
+    zero = np.flatnonzero(den == 0)
+    if zero.size:
+        raise ValueError(f"clean column {zero[0]} has zero norm")
+    return np.ldexp(num / den, e_num - e_den)
+
+
 def nrmse(S, S_tilde):
-    """Per-column normalized recovery error ||s~_i - s_i|| / ||s_i||."""
+    """Per-column normalized recovery error ||s~_i - s_i|| / ||s_i||; the
+    same for 2^j S and 2^j S~ wherever 2^j scales S, S~ and S~ - S exactly
+    and finitely."""
     S = as_matrix(S, "S")
     S_tilde = as_matrix(S_tilde, "S_tilde")
     if S.shape != S_tilde.shape:
         raise ValueError(f"shape mismatch: {S.shape} vs {S_tilde.shape}")
-    norms = np.linalg.norm(S, axis=0)
-    zero = np.flatnonzero(norms == 0)
-    if zero.size:
-        raise ValueError(f"clean column {zero[0]} has zero norm")
-    return np.linalg.norm(S_tilde - S, axis=0) / norms
+    return _norm_ratios(S_tilde - S, S)
 
 
 def baseline_tsvd(X, r):
@@ -38,8 +73,8 @@ def baseline_tsvd(X, r):
         return np.zeros_like(X)
     # in power-of-two units the Gram matrix neither overflows nor underflows;
     # the scaling is exact and cancels in U_r U_r^T X
-    exponent = np.frexp(np.max(np.abs(X)))[1]
-    _, transposed, gram, spectrum = short_side_spectrum(np.ldexp(X, -exponent))
+    _, transposed, gram, spectrum = short_side_spectrum(
+        np.ldexp(X, -binary_exponent(X)))
     # the Gram matrix squares the condition number: below sqrt(eps) * lambda_0
     # it does not resolve the r-th component, so take the SVD instead; so too
     # when the top-r eigenvectors fail their checks
@@ -76,11 +111,10 @@ def summarize(S, S_tilde, noise=None, timing=0.0, config=None):
     snr = None
     if noise is not None:
         noise = as_matrix(noise, "noise")
-        if noise.shape != as_matrix(S).shape:
+        S = as_matrix(S)
+        if noise.shape != S.shape:
             raise ValueError("noise shape must match clean shape")
-        ratio = float(
-            np.median(np.linalg.norm(noise, axis=0) / np.linalg.norm(S, axis=0))
-        )
+        ratio = float(np.median(_norm_ratios(noise, S)))
         snr = msnr(S, noise)
     return ExperimentReport(
         nrmse=[float(e) for e in errors],

@@ -33,6 +33,13 @@ def as_matrix(values, name="matrix"):
     return M
 
 
+def binary_exponent(M, axis=None):
+    """e with max |M| in [2^(e-1), 2^e), over axis (all of M by default); 0
+    where M is zero. np.ldexp(M, -e) is then M in power-of-two units: the
+    scaling is exact unless an entry falls below the normal range."""
+    return np.frexp(np.max(np.abs(M), axis=axis))[1]
+
+
 def fix_signs(U):
     """Flip column signs so each column of U has its largest-|entry| positive.
 
@@ -170,8 +177,10 @@ def entrywise_median(columns):
     median of its m columns; for p x b x m, that of each of b column sets.
 
     Sorts along the last axis and takes the middle value, or the mean of the
-    two middle values for an even m; equal to np.median(M, axis=-1), and
-    faster on the narrow blocks the recovery step passes.
+    two middle values for an even m; faster than np.median(M, axis=-1) on
+    the narrow blocks the recovery step passes, and equal to it except where
+    np.median overflows: where the two middle values' sum overflows, it
+    returns inf, and this halves them before adding.
     """
     M = np.asarray(columns, dtype=float)
     if M.ndim < 2 or M.size == 0:
@@ -184,7 +193,12 @@ def entrywise_median(columns):
     h = S.shape[-1] // 2
     if S.shape[-1] % 2:
         return S[..., h]
-    return (S[..., h - 1] + S[..., h]) / 2
+    lo, hi = S[..., h - 1], S[..., h]
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2
+    over = np.isinf(mid)
+    mid[over] = lo[over] / 2 + hi[over] / 2
+    return mid
 
 
 def _householder_frame(G):
@@ -217,7 +231,7 @@ def haar_frame(G):
     G^T G cannot overflow. Householder QR of G is the fallback, taken when
     cholesky raises or q_factor returns None (G wide or ill-conditioned).
     """
-    scaled = np.ldexp(G, -np.frexp(np.max(np.abs(G)))[1])
+    scaled = np.ldexp(G, -binary_exponent(G))
     try:
         L = np.linalg.cholesky(scaled.T @ scaled)
     except np.linalg.LinAlgError:

@@ -73,21 +73,17 @@ class GlobalMetric:
     coords: np.ndarray          # n x q points whose Euclidean metric is d_global
     shrink: object = None       # ShrinkageOutput when built from eoptshrink
 
-    def neighborhoods(self, K, block=None):
+    def neighborhoods(self, K):
         """K nearest neighbor indices (excluding self) for every point,
         nearest first, ties by lowest index.
 
-        K is an integer in [1, n - 1]. Takes block rows at a time, an integer
-        >= 1; by default as many as keep one block of squared distances
-        within _BLOCK_BYTES.
+        K is an integer in [1, n - 1]. Takes as many rows at a time as keep
+        one block of squared distances within _BLOCK_BYTES.
         """
         n = self.coords.shape[0]
         if not (is_integer(K) and 1 <= K < n):
             raise ValueError(f"K must be an integer in [1, {n - 1}], got {K!r}")
-        if block is None:
-            block = max(1, _BLOCK_BYTES // (8 * n))
-        elif not (is_integer(block) and block >= 1):
-            raise ValueError(f"block must be None or an integer >= 1, got {block!r}")
+        block = max(1, _BLOCK_BYTES // (8 * n))
         P = self.coords.T
         if P.shape[0] == 0:  # rank 0: every distance is 0
             P = np.zeros((1, n))

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    as_matrix, haar_frame, is_integer, is_real, q_factor, random_orthogonal)
+    as_matrix, binary_exponent, haar_frame, is_integer, is_real, q_factor,
+    random_orthogonal)
 
 
 @dataclass
@@ -117,7 +118,7 @@ def _times_b_half(left, d, rng_h, rng_f):
     return out
 
 
-def separable_noise(p, n, seed, with_row_cov=False):
+def separable_noise(p, n, seed):
     """Separable-covariance noise A^(1/2) Z B^(1/2).
 
     A has a three-level base spectrum (1, 1/4, 1/2) perturbed by scaled Wigner
@@ -125,8 +126,7 @@ def separable_noise(p, n, seed, with_row_cov=False):
     entries scaled to unit standard deviation. Eigenvalues at or below 0.05
     are resampled to keep both factors safely positive definite.
 
-    Returns (noise, A eigenvalues, B eigenvalues); with_row_cov=True appends
-    the full p x p row-covariance factor A for diagnostics.
+    Returns (noise, A eigenvalues, B eigenvalues).
     """
     if p < 3 or n < 2:
         raise ValueError(f"need p >= 3 and n >= 2, got p={p}, n={n}")
@@ -170,24 +170,48 @@ def separable_noise(p, n, seed, with_row_cov=False):
         left, np.sqrt(b_eigs),
         np.random.default_rng(ss_h), np.random.default_rng(ss_f),
     )
-    if with_row_cov:
-        return Xi, a_eigs, b_eigs, Q @ (a_eigs[:, None] * Q.T)
     return Xi, a_eigs, b_eigs
 
 
+# a covariance trace below this may have lost bits to subnormal squares
+_TRACE_MIN = 2.0 ** -900
+
+
+def _covariance_trace(M):
+    """Trace of the empirical covariance of M's columns; inf where the
+    squares overflow."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.var(M, axis=1, ddof=1)))
+
+
 def msnr(S, Xi):
-    """Manifold SNR in dB: trace ratio of the empirical column covariances."""
+    """Manifold SNR in dB: trace ratio of the empirical column covariances.
+
+    Where a trace is not finite or is below 2^-900, both are taken again
+    with S and Xi in one common power-of-two unit, which leaves their ratio
+    unchanged bit for bit. Where a trace still underflows, each matrix is
+    taken in its own unit and the ratio corrected by the two exponents.
+    """
     S = as_matrix(S, "S")
     Xi = as_matrix(Xi, "noise")
     if S.shape != Xi.shape:
         raise ValueError(f"shape mismatch: {S.shape} vs {Xi.shape}")
     if S.shape[1] < 2:
         raise ValueError(f"mSNR needs at least two samples, got {S.shape[1]}")
-    tr_s = float(np.sum(np.var(S, axis=1, ddof=1)))
-    tr_x = float(np.sum(np.var(Xi, axis=1, ddof=1)))
+    tr_s, tr_x = _covariance_trace(S), _covariance_trace(Xi)
+    shift = 0  # the trace ratio is tr_s / tr_x * 4^shift
+    if not all(math.isfinite(tr) and tr >= _TRACE_MIN for tr in (tr_s, tr_x)):
+        e_s, e_x = binary_exponent(S), binary_exponent(Xi)
+        e = max(e_s, e_x)
+        tr_s = _covariance_trace(np.ldexp(S, -e))
+        tr_x = _covariance_trace(np.ldexp(Xi, -e))
+        if min(tr_s, tr_x) < _TRACE_MIN:
+            tr_s = _covariance_trace(np.ldexp(S, -e_s))
+            tr_x = _covariance_trace(np.ldexp(Xi, -e_x))
+            shift = int(e_s - e_x)
     if tr_x <= 0:
         raise ValueError("noise covariance trace is zero")
-    return 10.0 * math.log10(tr_s / tr_x)
+    return 10.0 * (math.log10(tr_s / tr_x) + shift * math.log10(4.0))
 
 
 def check_specs(mspec, nspec):

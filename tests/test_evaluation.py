@@ -44,6 +44,16 @@ class TestNrmse:
         with pytest.raises(ValueError, match="2"):
             nrmse(S, S)
 
+    @pytest.mark.parametrize("j", [300, 540, 600, 900, -300, -540, -600, -900])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_exact_at_any_power_of_two(self, j, order):
+        # the plain column norms overflow from about 2^510 and underflow
+        # from about 2^-510; warnings are errors here
+        rng = np.random.default_rng(8)
+        S = np.asarray(rng.standard_normal((20, 50)), order=order)
+        St = S + 0.1 * rng.standard_normal((20, 50))
+        assert np.array_equal(nrmse(2.0 ** j * S, 2.0 ** j * St), nrmse(S, St))
+
 
 class TestBaselineTsvd:
     def test_full_rank_identity(self):
@@ -163,6 +173,16 @@ class TestSummarize:
         S, Xi = self.data()
         rep = summarize(S, S, noise=Xi)
         assert rep.nrmse_median == 0.0
+
+    @pytest.mark.parametrize("j", [600, -600])
+    def test_statistics_exact_at_any_power_of_two(self, j):
+        S, Xi = self.data()
+        St = S + Xi
+        rep = summarize(S, St, noise=Xi)
+        scaled = summarize(2.0 ** j * S, 2.0 ** j * St, noise=2.0 ** j * Xi)
+        assert scaled.nrmse == rep.nrmse
+        assert scaled.noise_ratio_median == rep.noise_ratio_median
+        assert scaled.msnr_db == rep.msnr_db
 
     def test_do_nothing_equals_noise_ratio(self):
         S, Xi = self.data()

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -101,6 +103,16 @@ class TestEntrywiseMedian:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             entrywise_median(np.empty((3, 0)))
+
+    def test_even_count_where_the_sum_overflows(self):
+        # np.median reads inf for the first two rows, with a RuntimeWarning;
+        # the expected values are the exact means, rounded once
+        cols = np.array([
+            [1e308, 1.5e308], [-1.7e308, -1e308], [-1.7e308, 1.7e308], [1.0, 4.0]])
+        expect = [float((Fraction(a) + Fraction(b)) / 2) for a, b in cols]
+        assert np.array_equal(entrywise_median(cols), expect)
+        wide = np.array([[1.7e308, -1.0, 1.5e308, 1e308]])
+        assert entrywise_median(wide)[0] == expect[0]
 
     @pytest.mark.parametrize("width", range(1, 22))
     def test_equals_numpy_median_with_ties(self, width):

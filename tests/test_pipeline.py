@@ -86,6 +86,14 @@ def reference_neighborhoods(coords, K, block):
     return ref
 
 
+def blocked_neighborhoods(monkeypatch, metric, K, block):
+    """metric.neighborhoods(K) taking block rows at a time: _BLOCK_BYTES set
+    to hold exactly block rows of squared distances."""
+    n = metric.coords.shape[0]
+    monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 8 * n * block)
+    return metric.neighborhoods(K)
+
+
 class TestGlobalMetric:
     def test_identical_points_roseland(self):
         X = np.ones((4, 10))
@@ -110,27 +118,28 @@ class TestGlobalMetric:
             raw = np.linalg.norm(X[:, i] - X[:, j])
             assert metric_distance(m, i, j) == pytest.approx(raw, rel=0.02)
 
-    def test_neighborhoods_match_bruteforce(self):
+    def test_neighborhoods_match_bruteforce(self, monkeypatch):
         rng = np.random.default_rng(2)
         m = GlobalMetric(kind="diffusion", coords=rng.standard_normal((50, 3)))
-        hoods = m.neighborhoods(7, block=16)
+        hoods = blocked_neighborhoods(monkeypatch, m, 7, 16)
         for i in range(50):
             d = np.linalg.norm(m.coords - m.coords[i], axis=1)
             order = np.argsort(d, kind="stable")
             ref = order[order != i][:7]
             assert np.array_equal(hoods[i], ref)
 
-    def test_neighborhoods_tie_break_matches_stable_argsort(self):
+    def test_neighborhoods_tie_break_matches_stable_argsort(self, monkeypatch):
         # integer points repeated: exact distance ties straddle the K-th place
         rng = np.random.default_rng(5)
         pts = rng.integers(0, 3, size=(60, 2)).astype(float)
         m = GlobalMetric(kind="diffusion", coords=np.concatenate([pts, pts[:25]]))
-        for K, block in [(7, 16), (30, 32), (84, 512), (np.int64(84), np.int64(1))]:
+        for K, block in [(7, 16), (30, 32), (84, 512), (np.int64(84), 1)]:
             ref = reference_neighborhoods(m.coords, K, block)
-            assert np.array_equal(m.neighborhoods(K, block=block), ref)
+            assert np.array_equal(
+                blocked_neighborhoods(monkeypatch, m, K, block), ref)
 
     @pytest.mark.parametrize("n", [100, 600, 1100])
-    def test_neighborhoods_default_block_matches_reference(self, n):
+    def test_neighborhoods_default_block_matches_reference(self, monkeypatch, n):
         # the default block holds _BLOCK_BYTES of distances: one block at
         # n=100; 436 rows at n=600 and 238 at n=1100, neither dividing n
         block = pipeline._BLOCK_BYTES // (8 * n)
@@ -139,22 +148,18 @@ class TestGlobalMetric:
         rng = np.random.default_rng(n)
         coords = rng.integers(0, 4, size=(n, 3)).astype(float)  # many ties
         m = GlobalMetric(kind="diffusion", coords=coords)
-        for K in (5, 40):
-            ref = reference_neighborhoods(coords, K, block)
+        refs = {K: reference_neighborhoods(coords, K, block) for K in (5, 40)}
+        for K, ref in refs.items():
             assert np.array_equal(m.neighborhoods(K), ref)
-            assert np.array_equal(m.neighborhoods(K, block=97), ref)
+        # then 97 rows at a time
+        for K, ref in refs.items():
+            assert np.array_equal(blocked_neighborhoods(monkeypatch, m, K, 97), ref)
 
     @pytest.mark.parametrize("K", [0, -1, 10, 11, 2.0, True, None])
     def test_neighborhoods_bad_K_rejected(self, K):
         m = GlobalMetric(kind="diffusion", coords=np.zeros((10, 2)))
         with pytest.raises(ValueError, match=r"K must be an integer in \[1, 9\]"):
             m.neighborhoods(K)
-
-    @pytest.mark.parametrize("block", [0, -1, 2.0, 1.5, True, "4"])
-    def test_neighborhoods_bad_block_rejected(self, block):
-        m = GlobalMetric(kind="diffusion", coords=np.zeros((10, 2)))
-        with pytest.raises(ValueError, match="block must be None or an integer >= 1"):
-            m.neighborhoods(3, block=block)
 
     def test_noisy_m1_recall_beats_raw(self):
         p, n, K = 200, 2000, 100

@@ -85,6 +85,24 @@ def times_b_half_householder(left, d, rng_h, rng_f):
     return out
 
 
+def separable_noise_with_row_cov(monkeypatch, p, n, seed):
+    """separable_noise(p, n, seed) with its row-covariance factor
+    A = Q diag(a) Q^T appended, Q the one rotation it draws, recorded by
+    wrapping synth.random_orthogonal."""
+    rotations = []
+    real = synth.random_orthogonal
+
+    def recording(dim, rng):
+        rotations.append(real(dim, rng))
+        return rotations[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(synth, "random_orthogonal", recording)
+        Xi, a_eigs, b_eigs = separable_noise(p, n, seed)
+    (Q,) = rotations
+    return Xi, a_eigs, b_eigs, Q @ (a_eigs[:, None] * Q.T)
+
+
 def noise_statistics(Xi):
     """Xi[0,0], Xi[1,2], rows 0 and 1's inner product, column 0's squared
     norm and the squared Frobenius norm, for one matrix or a stack."""
@@ -210,11 +228,11 @@ class TestSeparableNoise:
         # supported away from zero, unlike a degenerate spectrum
         assert e1[0] > 0.01
 
-    def test_row_covariance_identity(self):
+    def test_row_covariance_identity(self, monkeypatch):
         # E[Xi Xi^T] = A * tr(B) / n for separable noise with E Z Z^T = I * n...
         # empirical column covariance approaches A * mean(b_eigs)
         p, n = 30, 6000
-        Xi, a_eigs, b_eigs, A = separable_noise(p, n, 0, with_row_cov=True)
+        Xi, a_eigs, b_eigs, A = separable_noise_with_row_cov(monkeypatch, p, n, 0)
         C = (Xi @ Xi.T) / n
         target = A * b_eigs.mean()
         rel = np.linalg.norm(C - target) / np.linalg.norm(target)
@@ -259,9 +277,9 @@ class TestSeparableNoise:
     # s = min(p, n - r) > 0 on all but (60, 40)
     @pytest.mark.parametrize("p,n", [(200, 2000), (60, 100), (40, 300), (60, 40)])
     def test_r_factor_matches_q_factor_construction(self, monkeypatch, p, n):
-        Xi, a_eigs, b_eigs, A = separable_noise(p, n, 5, with_row_cov=True)
+        Xi, a_eigs, b_eigs, A = separable_noise_with_row_cov(monkeypatch, p, n, 5)
         monkeypatch.setattr(synth, "_times_b_half", times_b_half_with_q)
-        ref, ref_a, ref_b, ref_A = separable_noise(p, n, 5, with_row_cov=True)
+        ref, ref_a, ref_b, ref_A = separable_noise_with_row_cov(monkeypatch, p, n, 5)
         assert np.max(np.abs(Xi - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.array_equal(a_eigs, ref_a)
         assert np.array_equal(b_eigs, ref_b)
@@ -292,10 +310,10 @@ class TestSeparableNoise:
         assert tall_q == []
         assert r_only == [(2000, 200), (2000, 200)]
 
-    def test_row_side_draws_unchanged(self):
+    def test_row_side_draws_unchanged(self, monkeypatch):
         # A's spectrum and rotation and B's spectrum come from the same random
         # streams as the n x n construction's; only B's rotation is new
-        _, a_eigs, b_eigs, A = separable_noise(4, 6, 3, with_row_cov=True)
+        _, a_eigs, b_eigs, A = separable_noise_with_row_cov(monkeypatch, 4, 6, 3)
         np.testing.assert_allclose(a_eigs, [
             1.038726124900512, 0.26601191656268997,
             0.4977744699406418, 0.46602058685602554,
@@ -333,6 +351,25 @@ class TestMsnr:
         S = rng.standard_normal((4, 200))
         Xi = rng.standard_normal((4, 200))
         assert msnr(S + 5.0, Xi) == pytest.approx(msnr(S, Xi), abs=1e-9)
+
+    @pytest.mark.parametrize("j", [300, 540, 600, 900, -300, -540, -600, -900])
+    def test_exact_at_any_power_of_two(self, j):
+        # the plain traces overflow from about 2^510 and fall below 2^-900
+        # from about 2^-450; warnings are errors here
+        rng = np.random.default_rng(4)
+        S = rng.standard_normal((5, 300))
+        Xi = 0.3 * rng.standard_normal((5, 300))
+        assert msnr(2.0 ** j * S, 2.0 ** j * Xi) == msnr(S, Xi)
+
+    @pytest.mark.parametrize("j_s, j_x", [(0, -600), (600, 0), (540, -540)])
+    def test_separate_scales(self, j_s, j_x):
+        # one trace underflows in the other's unit: each takes its own
+        rng = np.random.default_rng(5)
+        S = rng.standard_normal((5, 300))
+        Xi = 0.3 * rng.standard_normal((5, 300))
+        shift = 10.0 * math.log10(4.0) * (j_s - j_x)
+        assert msnr(2.0 ** j_s * S, 2.0 ** j_x * Xi) == pytest.approx(
+            msnr(S, Xi) + shift, rel=1e-12)
 
     def test_rejects_zero_noise(self):
         with pytest.raises(ValueError):
