@@ -122,12 +122,12 @@ def cmd_evaluate(args):
         )
     noise = None
     if args.noisy:
-        noisy = storage.load_matrix(args.noisy)
-        if noisy.shape != clean.shape:
+        noise = storage.load_matrix(args.noisy)
+        if noise.shape != clean.shape:
             raise ValueError(
-                f"shape mismatch: clean {clean.shape} vs noisy {noisy.shape}"
+                f"shape mismatch: clean {clean.shape} vs noisy {noise.shape}"
             )
-        noise = noisy - clean
+        noise -= clean  # in place: one n-column matrix fewer
     report = summarize(clean, denoised, noise=noise)
     storage.save_json(args.out, report.to_dict())
     print(f"nrmse_median: {report.nrmse_median:.6g}")

@@ -55,7 +55,15 @@ def nrmse(S, S_tilde):
     S_tilde = as_matrix(S_tilde, "S_tilde")
     if S.shape != S_tilde.shape:
         raise ValueError(f"shape mismatch: {S.shape} vs {S_tilde.shape}")
-    return _norm_ratios(S_tilde - S, S)
+    with np.errstate(over="ignore"):
+        diff = S_tilde - S
+    # where S~ - S overflows, take it again in units of 2, which the ratio
+    # doubles back exactly
+    over = np.flatnonzero(np.isinf(diff).any(axis=0))
+    diff[:, over] = S_tilde[:, over] / 2 - S[:, over] / 2
+    ratios = _norm_ratios(diff, S)
+    ratios[over] *= 2
+    return ratios
 
 
 def baseline_tsvd(X, r):

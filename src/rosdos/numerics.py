@@ -155,18 +155,23 @@ def is_orthonormal(Q):
 
 
 def pairwise_sq_dist(A, B):
-    """Squared Euclidean distances between columns of A and columns of B."""
+    """Squared Euclidean distances between columns of A and columns of B;
+    made exactly symmetric, with a zero diagonal, only when A is B (one
+    object, not two views of the same memory)."""
+    symmetric = A is B
     A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
+    B = A if symmetric else as_matrix(B, "B")
     if A.shape[0] != B.shape[0]:
         raise ValueError(
             f"ambient dimensions differ: {A.shape[0]} vs {B.shape[0]}"
         )
-    a2 = np.sum(A * A, axis=0)
-    b2 = np.sum(B * B, axis=0)
-    D = a2[:, None] + b2[None, :] - 2.0 * (A.T @ B)
+    # entry for entry a2 + b2 - 2 G, without its temporaries: -2 G is exact,
+    # and addition commutes
+    D = A.T @ B
+    D *= -2.0
+    D += np.add.outer(np.sum(A * A, axis=0), np.sum(B * B, axis=0))
     np.maximum(D, 0.0, out=D)
-    if A is B or (A.shape == B.shape and np.shares_memory(A, B)):
+    if symmetric:
         np.fill_diagonal(D, 0.0)
         D = 0.5 * (D + D.T)
     return D

@@ -10,7 +10,8 @@ import numpy as np
 
 from . import diffusion, shrinkage
 from .numerics import (
-    as_matrix, entrywise_median, is_integer, is_positive_finite, is_real)
+    as_matrix, entrywise_median, is_integer, is_positive_finite, is_real,
+    pairwise_sq_dist)
 
 MODE_ROSELAND = "roseland"
 MODE_GLOBAL_SHRINK = "global-shrink"
@@ -87,17 +88,10 @@ class GlobalMetric:
         P = self.coords.T
         if P.shape[0] == 0:  # rank 0: every distance is 0
             P = np.zeros((1, n))
-        P = as_matrix(P, "coords")
-        p2 = np.sum(P * P, axis=0)
         out = np.empty((n, K), dtype=int)
         for start in range(0, n, block):
             stop = min(start + block, n)
-            # rounds entry for entry as pairwise_sq_dist does, without its
-            # temporaries: -2 G is exact, and addition commutes
-            D = P[:, start:stop].T @ P
-            D *= -2.0
-            D += np.add.outer(p2[start:stop], p2)
-            np.maximum(D, 0.0, out=D)
+            D = pairwise_sq_dist(P[:, start:stop], P)
             D[np.arange(stop - start), np.arange(start, stop)] = np.inf
             idx = np.argpartition(D, K - 1, axis=1)[:, :K]
             kth = np.take_along_axis(D, idx, axis=1).max(axis=1)
@@ -185,7 +179,6 @@ def rosdos(X, cfg):
     """Run the full denoiser and return (denoised matrix, diagnostics)."""
     X = as_matrix(X, "X")
     p, n = X.shape
-    cfg.validate(n)
     timings = {}
 
     t0 = time.perf_counter()
@@ -193,18 +186,19 @@ def rosdos(X, cfg):
     global_out = metric.shrink
     timings["global_metric"] = time.perf_counter() - t0
 
+    # shrink-only recovers each point from itself and its k_local - 1
+    # nearest neighbors in the global metric, which come first in the patch
+    skip_local = cfg.global_mode == MODE_SHRINK_ONLY
     t0 = time.perf_counter()
-    hoods = metric.neighborhoods(cfg.K)
+    hoods = metric.neighborhoods(cfg.k_local if skip_local else cfg.K)
     timings["neighborhoods"] = time.perf_counter() - t0
 
-    skip_local = cfg.global_mode == MODE_SHRINK_ONLY
-    coords = metric.coords
     # sample-major copy: each gathered column is one contiguous read
     Xf = np.asfortranarray(X)
-    width = cfg.K + 1
-    # per point: the gathered and the sorted k_local columns, and the
-    # patch's coordinate differences
-    per_point = 8 * (2 * p * cfg.k_local + 2 * width * coords.shape[1])
+    width = hoods.shape[1] + 1
+    # per point: the gathered and the sorted k_local columns, and room for
+    # 2 q words per patch column
+    per_point = 8 * (2 * p * cfg.k_local + 2 * width * metric.coords.shape[1])
     block = max(1, _BLOCK_BYTES // per_point)
     local_ranks = []
     fallback_reasons = Counter()
@@ -215,11 +209,8 @@ def rosdos(X, cfg):
         patches = np.empty((stop - start, width), dtype=int)
         patches[:, 0] = np.arange(start, stop)
         patches[:, 1:] = hoods[start:stop]
-        if skip_local:
-            diff = coords[patches] - coords[start:stop, None]
-            dists = np.linalg.norm(diff, axis=2)
-        else:
-            dists = np.empty(patches.shape)
+        dists = np.zeros(patches.shape)  # shrink-only: patch order
+        if not skip_local:
             for row, patch in enumerate(patches):
                 dists[row], rank, reason = _local_distances(Xf[:, patch], cfg)
                 local_ranks.append(rank)

@@ -211,6 +211,8 @@ def msnr(S, Xi):
             shift = int(e_s - e_x)
     if tr_x <= 0:
         raise ValueError("noise covariance trace is zero")
+    if tr_s <= 0:
+        raise ValueError("signal covariance trace is zero")
     return 10.0 * (math.log10(tr_s / tr_x) + shift * math.log10(4.0))
 
 

@@ -54,6 +54,22 @@ class TestNrmse:
         St = S + 0.1 * rng.standard_normal((20, 50))
         assert np.array_equal(nrmse(2.0 ** j * S, 2.0 ** j * St), nrmse(S, St))
 
+    def test_overflowing_difference(self):
+        # S~ - S overflows in column 0 only; warnings are errors here
+        assert np.array_equal(nrmse([[1e308], [0]], [[-1e308], [0]]), [2.0])
+        rng = np.random.default_rng(9)
+        S = rng.standard_normal((4, 6))
+        St = S + 0.1 * rng.standard_normal((4, 6))
+        big = 2.0 ** 1020 * S
+        big[:, 2] = [1e308, -1e308, 0.0, 5e307]
+        big_t = 2.0 ** 1020 * St
+        big_t[:, 2] = [-1e308, 1e308, 0.0, 5e307]
+        out = nrmse(big, big_t)
+        keep = np.arange(6) != 2
+        assert np.array_equal(out[keep], nrmse(S, St)[keep])
+        # ||(-2, 2, 0, 0)|| / ||(1, -1, 0, 0.5)|| in units of 1e308
+        assert out[2] == pytest.approx(np.sqrt(32 / 9), rel=1e-15)
+
 
 class TestBaselineTsvd:
     def test_full_rank_identity(self):

@@ -155,6 +155,17 @@ class TestGlobalMetric:
         for K, ref in refs.items():
             assert np.array_equal(blocked_neighborhoods(monkeypatch, m, K, 97), ref)
 
+    @pytest.mark.parametrize("block", [1, 37, 512])
+    def test_neighborhoods_match_reference_on_real_coords(self, monkeypatch, block):
+        # 340 points: one block at 512 rows, several at 37 and 1; the last
+        # 40 repeat the first 40, an exact tie for each of them
+        rng = np.random.default_rng(35)
+        coords = 5.0 + 1e3 * rng.standard_normal((300, 4))
+        m = GlobalMetric(kind="diffusion", coords=np.concatenate([coords, coords[:40]]))
+        for K in (1, 20, 100):
+            ref = reference_neighborhoods(m.coords, K, block)
+            assert np.array_equal(blocked_neighborhoods(monkeypatch, m, K, block), ref)
+
     @pytest.mark.parametrize("K", [0, -1, 10, 11, 2.0, True, None])
     def test_neighborhoods_bad_K_rejected(self, K):
         m = GlobalMetric(kind="diffusion", coords=np.zeros((10, 2)))
@@ -314,6 +325,52 @@ def reference_recovery(X, cfg):
         sel = np.argsort(dists, kind="stable")[: cfg.k_local]
         out[:, i] = np.median(Xi[:, sel], axis=1)
     return out
+
+
+class TestShrinkOnly:
+    """Shrink-only recovery takes each point and its k_local - 1 nearest
+    neighbors in neighborhoods' order; the reference is the K-neighborhood
+    re-ranked by direct norm in the same coordinates (reference_recovery)."""
+
+    @staticmethod
+    def check(X, k_local):
+        for K in (k_local + 1, 100):
+            cfg = PipelineConfig(global_mode=MODE_SHRINK_ONLY, K=K, k_local=k_local)
+            assert np.array_equal(rosdos(X, cfg)[0], reference_recovery(X, cfg))
+
+    @pytest.mark.parametrize("k_local", [1, 5, 20])
+    @pytest.mark.parametrize("p, n, seed", [(60, 300, 31), (200, 400, 32), (25, 250, 33)])
+    def test_matches_direct_norm_rerank(self, p, n, seed, k_local):
+        S, _ = sample_m1(p, n, seed)
+        X = S + 0.5 * gaussian_noise(p, n, seed + 1) / np.sqrt(p)
+        self.check(X, k_local)
+
+    @pytest.mark.parametrize("k_local", [1, 5, 20])
+    def test_duplicate_columns_match_direct_norm_rerank(self, k_local):
+        # every column about 6 times: exact ties in both metrics
+        rng = np.random.default_rng(34)
+        base = 3.0 + rng.standard_normal((30, 40))
+        self.check(base[:, rng.integers(0, 40, size=240)], k_local)
+
+    def test_K_is_validated_but_unused(self, monkeypatch):
+        S, _ = sample_m1(40, 200, 36)
+        X = S + 0.5 * gaussian_noise(40, 200, 37) / np.sqrt(40)
+        asked = []
+        real = GlobalMetric.neighborhoods
+
+        def spy(self, K):
+            asked.append(K)
+            return real(self, K)
+
+        monkeypatch.setattr(GlobalMetric, "neighborhoods", spy)
+        outs = {
+            rosdos(X, PipelineConfig(global_mode=MODE_SHRINK_ONLY, K=K, k_local=5))[0].tobytes()
+            for K in (6, 40, 199)
+        }
+        assert len(outs) == 1
+        assert asked == [5, 5, 5]
+        with pytest.raises(ValueError, match=r"K \(200\) < n \(200\)"):
+            rosdos(X, PipelineConfig(global_mode=MODE_SHRINK_ONLY, K=200, k_local=5))
 
 
 class TestRosdos:

@@ -375,6 +375,12 @@ class TestMsnr:
         with pytest.raises(ValueError):
             msnr(np.random.default_rng(3).standard_normal((3, 10)), np.zeros((3, 10)))
 
+    def test_rejects_zero_signal(self):
+        # constant rows: the clean covariance trace is 0 in every unit
+        noise = np.random.default_rng(3).standard_normal((3, 10))
+        with pytest.raises(ValueError, match="signal covariance trace is zero"):
+            msnr(np.ones((3, 10)), noise)
+
     def test_rejects_one_sample(self):
         with pytest.raises(ValueError, match="at least two samples, got 1"):
             msnr(np.ones((3, 1)), np.zeros((3, 1)))
