@@ -3,9 +3,7 @@ optimal singular-value shrinkage under separable-covariance noise."""
 
 from .diffusion import (
     EmbeddingResult,
-    affinity_complete,
     auto_bandwidth,
-    dm_embed,
     roseland_embed,
     select_landmarks,
 )

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import storage
 from .evaluation import baseline_tsvd, summarize
-from .pipeline import PipelineConfig, rosdos
+from .pipeline import MODES, PipelineConfig, rosdos
 from .shrinkage import eoptshrink
 from .synth import ManifoldSpec, NoiseSpec, check_specs, make_dataset
 
@@ -274,22 +274,18 @@ def build_parser():
 
     den = sub.add_parser("denoise", help="denoise a matrix from disk")
     den.add_argument("--input", required=True)
-    den.add_argument(
-        "--mode",
-        dest="global_mode",
-        choices=["roseland", "global-shrink", "shrink-only"],
-        default="roseland",
-    )
-    den.add_argument("--h", default="auto")
-    den.add_argument("--gamma", type=float, default=0.5)
-    den.add_argument("--q", dest="q_prime", metavar="Q", type=int, default=10)
-    den.add_argument("--t", type=float, default=1)
-    den.add_argument("--K", type=int, default=100)
-    den.add_argument("--k", dest="k_local", metavar="K", type=int, default=20)
-    den.add_argument("--k-imp", dest="k_imp", type=int, default=10)
-    den.add_argument("--seed", type=int, default=0)
+    den.add_argument("--mode", dest="global_mode", choices=MODES)
+    den.add_argument("--h")
+    den.add_argument("--gamma", type=float)
+    den.add_argument("--q", dest="q_prime", metavar="Q", type=int)
+    den.add_argument("--t", type=float)
+    den.add_argument("--K", type=int)
+    den.add_argument("--k", dest="k_local", metavar="K", type=int)
+    den.add_argument("--k-imp", dest="k_imp", type=int)
+    den.add_argument("--seed", type=int)
     den.add_argument("--out", default=_default_out())
-    den.set_defaults(func=cmd_denoise)
+    # a flag left out takes its PipelineConfig field's default
+    den.set_defaults(func=cmd_denoise, **PipelineConfig().to_dict())
 
     ev = sub.add_parser("evaluate", help="score a denoised matrix")
     ev.add_argument("--clean", required=True)

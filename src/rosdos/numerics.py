@@ -155,12 +155,11 @@ def is_orthonormal(Q):
 
 
 def pairwise_sq_dist(A, B):
-    """Squared Euclidean distances between columns of A and columns of B;
-    made exactly symmetric, with a zero diagonal, only when A is B (one
-    object, not two views of the same memory)."""
-    symmetric = A is B
+    """Squared Euclidean distances between columns of A and columns of B,
+    clipped at 0. The kernel's rounding is kept: pairwise_sq_dist(X, X) need
+    not have a zero diagonal."""
     A = as_matrix(A, "A")
-    B = A if symmetric else as_matrix(B, "B")
+    B = as_matrix(B, "B")
     if A.shape[0] != B.shape[0]:
         raise ValueError(
             f"ambient dimensions differ: {A.shape[0]} vs {B.shape[0]}"
@@ -171,9 +170,6 @@ def pairwise_sq_dist(A, B):
     D *= -2.0
     D += np.add.outer(np.sum(A * A, axis=0), np.sum(B * B, axis=0))
     np.maximum(D, 0.0, out=D)
-    if symmetric:
-        np.fill_diagonal(D, 0.0)
-        D = 0.5 * (D + D.T)
     return D
 
 

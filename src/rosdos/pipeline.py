@@ -16,7 +16,7 @@ from .numerics import (
 MODE_ROSELAND = "roseland"
 MODE_GLOBAL_SHRINK = "global-shrink"
 MODE_SHRINK_ONLY = "shrink-only"
-_MODES = (MODE_ROSELAND, MODE_GLOBAL_SHRINK, MODE_SHRINK_ONLY)
+MODES = (MODE_ROSELAND, MODE_GLOBAL_SHRINK, MODE_SHRINK_ONLY)
 
 # temporary memory one block of neighbor distances, or of recovered points,
 # may use; it sets the points per block
@@ -36,9 +36,9 @@ class PipelineConfig:
     seed: int = 0
 
     def validate(self, n):
-        if self.global_mode not in _MODES:
+        if self.global_mode not in MODES:
             raise ValueError(
-                f"global_mode must be one of {_MODES}, got {self.global_mode!r}"
+                f"global_mode must be one of {MODES}, got {self.global_mode!r}"
             )
         for name in ("K", "k_local", "q_prime", "k_imp"):
             value = getattr(self, name)

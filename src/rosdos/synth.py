@@ -1,6 +1,7 @@
 """Synthetic manifold samplers, noise generators, and the mSNR diagnostic."""
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,20 +178,29 @@ def separable_noise(p, n, seed):
 _TRACE_MIN = 2.0 ** -900
 
 
-def _covariance_trace(M):
-    """Trace of the empirical covariance of M's columns; inf where the
-    squares overflow."""
+def _trace_in_unit(M):
+    """(m, k) with the trace of the empirical covariance of M's columns
+    equal to m * 2^k, m in [0.5, 1) or 0. Where the plain trace overflows
+    or falls below _TRACE_MIN, it is taken again from M in its own
+    power-of-two unit, which scales it exactly."""
     with np.errstate(over="ignore"):
-        return float(np.sum(np.var(M, axis=1, ddof=1)))
+        tr = float(np.sum(np.var(M, axis=1, ddof=1)))
+    e = 0
+    if not (math.isfinite(tr) and tr >= _TRACE_MIN):
+        e = int(binary_exponent(M))
+        tr = float(np.sum(np.var(np.ldexp(M, -e), axis=1, ddof=1)))
+    m, k = math.frexp(tr)
+    return m, k + 2 * e
 
 
 def msnr(S, Xi):
     """Manifold SNR in dB: trace ratio of the empirical column covariances.
 
-    Where a trace is not finite or is below 2^-900, both are taken again
-    with S and Xi in one common power-of-two unit, which leaves their ratio
-    unchanged bit for bit. Where a trace still underflows, each matrix is
-    taken in its own unit and the ratio corrected by the two exponents.
+    Each trace is taken in its own power-of-two unit (_trace_in_unit), and
+    the ratio of the two as r * 2^shift. Where that ratio is a normal float
+    it is formed exactly, by math.ldexp, so the result equals
+    10 log10(tr_S / tr_Xi) bit for bit; otherwise the exponent term is
+    added in the log domain.
     """
     S = as_matrix(S, "S")
     Xi = as_matrix(Xi, "noise")
@@ -198,22 +208,16 @@ def msnr(S, Xi):
         raise ValueError(f"shape mismatch: {S.shape} vs {Xi.shape}")
     if S.shape[1] < 2:
         raise ValueError(f"mSNR needs at least two samples, got {S.shape[1]}")
-    tr_s, tr_x = _covariance_trace(S), _covariance_trace(Xi)
-    shift = 0  # the trace ratio is tr_s / tr_x * 4^shift
-    if not all(math.isfinite(tr) and tr >= _TRACE_MIN for tr in (tr_s, tr_x)):
-        e_s, e_x = binary_exponent(S), binary_exponent(Xi)
-        e = max(e_s, e_x)
-        tr_s = _covariance_trace(np.ldexp(S, -e))
-        tr_x = _covariance_trace(np.ldexp(Xi, -e))
-        if min(tr_s, tr_x) < _TRACE_MIN:
-            tr_s = _covariance_trace(np.ldexp(S, -e_s))
-            tr_x = _covariance_trace(np.ldexp(Xi, -e_x))
-            shift = int(e_s - e_x)
-    if tr_x <= 0:
+    (m_s, k_s), (m_x, k_x) = _trace_in_unit(S), _trace_in_unit(Xi)
+    if m_x == 0:
         raise ValueError("noise covariance trace is zero")
-    if tr_s <= 0:
+    if m_s == 0:
         raise ValueError("signal covariance trace is zero")
-    return 10.0 * (math.log10(tr_s / tr_x) + shift * math.log10(4.0))
+    ratio, shift = m_s / m_x, k_s - k_x
+    exponent = math.frexp(ratio)[1] + shift
+    if sys.float_info.min_exp <= exponent <= sys.float_info.max_exp:
+        return 10.0 * math.log10(math.ldexp(ratio, shift))
+    return 10.0 * (math.log10(ratio) + shift * math.log10(2.0))
 
 
 def check_specs(mspec, nspec):

@@ -160,7 +160,8 @@ def test_criterion_5_dominates_oracle_tsvd():
 
 
 def test_criterion_6_spectral_invariants():
-    from rosdos.diffusion import affinity_complete, auto_bandwidth, select_landmarks
+    from full_graph import affinity_complete, full_graph_bandwidth
+    from rosdos.diffusion import select_landmarks
     from rosdos.numerics import pairwise_sq_dist
 
     worst_row = 0.0
@@ -170,7 +171,7 @@ def test_criterion_6_spectral_invariants():
         p = int(rng.integers(3, 10))
         n = int(rng.integers(30, 80))
         X = rng.standard_normal((p, n))
-        h = auto_bandwidth(X)
+        h = full_graph_bandwidth(X)
 
         W0 = affinity_complete(X, h)
         d0 = W0.sum(axis=1)

@@ -168,6 +168,13 @@ class TestDenoise:
         diag = storage.load_json(out / "diagnostics.json")
         assert diag["config"] == expected.to_dict()
 
+    def test_no_pipeline_flag_records_the_config_defaults(self, tmp_path, dataset):
+        out = tmp_path / "den"
+        assert run(["denoise", "--input", dataset / "noisy.csv",
+                    "--out", out]) == EXIT_OK
+        diag = storage.load_json(out / "diagnostics.json")
+        assert diag["config"] == PipelineConfig().to_dict()
+
     def test_underflowing_diffusion_time_exit_two(self, tmp_path, capsys):
         data = tmp_path / "data"
         run(["simulate", "--manifold", "m1", "--p", 60, "--n", 400,

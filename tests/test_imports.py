@@ -1,7 +1,10 @@
 """Every name a package module imports is used in that module, and so is
-every private name it defines at module level.
+every private name it defines at module level. Every public module-level
+function or class is exported by __init__.py or read somewhere in the
+package, bar the named exceptions in KEPT_UNREAD.
 
-__init__.py is skipped: its imports are the public API.
+__init__.py is skipped by the first two checks: its imports are the public
+API.
 """
 
 import ast
@@ -71,3 +74,49 @@ def test_finds_an_unread_private_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
+
+
+# public names no module reads and __init__.py does not export, with the
+# reason each stays
+KEPT_UNREAD = {
+    ("numerics.py", "fix_signs"):
+        "perfbench/layers.py wraps it by name; it goes when perfbench reads "
+        "the run trace instead",
+}
+
+
+def dead_public_names(sources, init_source):
+    """(file, line, name) of each public module-level function or class in
+    sources ({file name: source}) that init_source does not import and no
+    source reads, as a name or as an attribute."""
+    exported = {alias.asname or alias.name
+                for node in ast.walk(ast.parse(init_source))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        (path, node.lineno, node.name)
+        for path, source in sources.items() for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in exported | read)
+
+
+def test_finds_a_dead_public_name():
+    sources = {"a.py": "def f():\n    return g()\ndef g():\n    pass\n"
+                       "class C:\n    pass\ndef _h():\n    pass\n",
+               "b.py": "from . import a\n\ndef k():\n    return a.f\n"}
+    init = "from .b import k\n"
+    assert dead_public_names(sources, init) == [("a.py", 5, "C")]
+
+
+def test_every_public_name_is_exported_or_read():
+    sources = {path.name: path.read_text() for path in MODULES}
+    init = (Path(rosdos.__file__).parent / "__init__.py").read_text()
+    dead = [(path, name) for path, _, name in dead_public_names(sources, init)]
+    assert dead == sorted(KEPT_UNREAD)

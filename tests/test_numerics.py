@@ -66,27 +66,6 @@ class TestPairwiseSqDist:
                 ref = np.sum((A[:, i] - A[:, j]) ** 2)
                 assert abs(D[i, j] - ref) < 1e-10
 
-    def test_symmetric_zero_diagonal(self):
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((6, 15))
-        D = pairwise_sq_dist(A, A)
-        assert np.array_equal(D, D.T)
-        assert np.all(np.diag(D) == 0.0)
-
-    def test_symmetrises_only_one_object(self):
-        rng = np.random.default_rng(5)
-        A = 5.0 + 1e3 * rng.standard_normal((7, 60))
-        D = pairwise_sq_dist(A, A)
-        assert np.array_equal(D, D.T)
-        assert np.all(np.diag(D) == 0.0)
-        # a view or a copy of A is another object: the kernel's rounding
-        # stays, here a nonzero diagonal
-        for B in (A[:, :], A.copy()):
-            assert np.any(np.diag(pairwise_sq_dist(A, B)) != 0.0)
-        # one list passed twice is one object too
-        L = A.tolist()
-        assert pairwise_sq_dist(L, L).tobytes() == D.tobytes()
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             pairwise_sq_dist(np.ones((3, 2)), np.ones((4, 2)))

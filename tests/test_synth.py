@@ -371,6 +371,17 @@ class TestMsnr:
         assert msnr(2.0 ** j_s * S, 2.0 ** j_x * Xi) == pytest.approx(
             msnr(S, Xi) + shift, rel=1e-12)
 
+    @pytest.mark.parametrize("j_s, j_x", [(-450, 500), (500, -450)])
+    def test_ratio_out_of_range(self, j_s, j_x):
+        # both traces are in range, but their ratio underflows or overflows
+        rng = np.random.default_rng(6)
+        S = rng.standard_normal((3, 10))
+        Xi = rng.standard_normal((3, 10))
+        shift = 10.0 * math.log10(4.0) * (j_s - j_x)
+        value = msnr(2.0 ** j_s * S, 2.0 ** j_x * Xi)
+        assert math.isfinite(value)
+        assert value == pytest.approx(msnr(S, Xi) + shift, rel=1e-12)
+
     def test_rejects_zero_noise(self):
         with pytest.raises(ValueError):
             msnr(np.random.default_rng(3).standard_normal((3, 10)), np.zeros((3, 10)))
