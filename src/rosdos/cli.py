@@ -22,12 +22,12 @@ ENV_OUTPUT_DIR = "ROSDOS_OUTPUT_DIR"
 _BASELINES = ("raw", "tsvd", "global-shrink")
 _FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)]
 
-# an experiment config's keys and their defaults; output_dir defaults to --out
+# an experiment config's keys and their defaults
 _EXPERIMENT = {
     "p": 200, "n": 5000,
     "manifolds": ["m1", "m3"], "noises": ["gaussian", "separable"],
     "alphas": [1.0, 0.5, 1.0 / 3.0], "pipeline": {},
-    "baselines": list(_BASELINES), "seed": 0, "output_dir": None,
+    "baselines": list(_BASELINES), "seed": 0,
 }
 # the report fields in each summary.csv row, after its cell and method
 _REPORTED = ("msnr_db", "nrmse_median", "nrmse_mean", "noise_ratio_median")
@@ -197,14 +197,11 @@ def cmd_experiment(args):
         raise ValueError(
             f"unknown experiment keys {unknown}; choose from {sorted(_EXPERIMENT)}"
         )
-    config = {**_EXPERIMENT, "output_dir": args.out, **config}
+    config = {**_EXPERIMENT, **config}
     p, n, baselines = config["p"], config["n"], config["baselines"]
     for key in ("manifolds", "noises", "alphas", "baselines"):
         if not isinstance(config[key], list):
             raise ValueError(f"{key} must be a JSON array, got {config[key]!r}")
-    out = config["output_dir"]
-    if not isinstance(out, str) or not out:
-        raise ValueError(f"output_dir must be a non-empty path string, got {out!r}")
     grid = list(itertools.product(
         config["manifolds"], config["noises"], config["alphas"]))
     if not grid:
@@ -225,6 +222,7 @@ def cmd_experiment(args):
     # cfg carries the master seed, so validate checks it; each cell then
     # runs at a seed derived from it
     cfg = _pipeline_config(config["pipeline"], n, seed=config["seed"])
+    out = args.out
     os.makedirs(out, exist_ok=True)
 
     rows = []

@@ -70,9 +70,8 @@ class PipelineConfig:
 
 @dataclass
 class GlobalMetric:
-    kind: str                   # "diffusion" | "euclidean-denoised"
     coords: np.ndarray          # n x q points whose Euclidean metric is d_global
-    shrink: object = None       # ShrinkageOutput when built from eoptshrink
+    shrink: object = None       # ShrinkageOutput from eoptshrink; None: diffusion
 
     def neighborhoods(self, K):
         """K nearest neighbor indices (excluding self) for every point,
@@ -133,9 +132,9 @@ def global_metric(X, cfg):
         h = cfg.h if cfg.h != "auto" else diffusion.auto_bandwidth(X, landmarks)
         q = min(cfg.q_prime, min(n, landmarks.size) - 1)
         emb = diffusion.roseland_embed(X, landmarks, h, q, cfg.t)
-        return GlobalMetric(kind="diffusion", coords=emb.coords)
+        return GlobalMetric(coords=emb.coords)
     out = shrinkage.eoptshrink(X, k=cfg.k_imp)
-    return GlobalMetric(kind="euclidean-denoised", coords=out.coords, shrink=out)
+    return GlobalMetric(coords=out.coords, shrink=out)
 
 
 def _local_distances(Xi, cfg):
@@ -157,7 +156,8 @@ def recover_point(X, patch, local_dists, k_local):
 
     A 1-D patch gives one point (a p-vector); a b x m block of patches, with
     local_dists of the same shape, gives b points (p x b), one per row.
-    Only the selected columns are read, so X is not checked as a whole.
+    patch holds integers (not bools) in [0, X.shape[1]). Only the selected
+    columns are read, so X is not checked as a whole.
     """
     X = np.asarray(X)
     if X.ndim != 2:
@@ -170,6 +170,10 @@ def recover_point(X, patch, local_dists, k_local):
     if not (is_integer(k_local) and 1 <= k_local <= width):
         raise ValueError(
             f"k_local must be an integer in [1, {width}], got {k_local!r}")
+    n = X.shape[1]
+    # numpy wraps a negative index and never reads an unselected one
+    if patch.dtype.kind not in "iu" or patch.min() < 0 or patch.max() >= n:
+        raise ValueError(f"patch must hold integer column indices in [0, {n})")
     order = np.argsort(d, axis=-1, kind="stable")[..., :k_local]
     sel = np.take_along_axis(patch, order, axis=-1)
     return entrywise_median(X[:, sel])
@@ -196,9 +200,9 @@ def rosdos(X, cfg):
     # sample-major copy: each gathered column is one contiguous read
     Xf = np.asfortranarray(X)
     width = hoods.shape[1] + 1
-    # per point: the gathered and the sorted k_local columns, and room for
-    # 2 q words per patch column
-    per_point = 8 * (2 * p * cfg.k_local + 2 * width * metric.coords.shape[1])
+    # per point: the gathered and the sorted k_local columns, and the patch
+    # row, its distances and their argsort
+    per_point = 8 * (2 * p * cfg.k_local + 3 * width)
     block = max(1, _BLOCK_BYTES // per_point)
     local_ranks = []
     fallback_reasons = Counter()
@@ -221,7 +225,7 @@ def rosdos(X, cfg):
 
     notes = list(global_out.warnings) if global_out is not None else []
     embedding_dim = None
-    if metric.kind == "diffusion":
+    if global_out is None:  # roseland: the coordinates are the embedding
         embedding_dim = metric.coords.shape[1]
         if embedding_dim < cfg.q_prime:
             notes.append(

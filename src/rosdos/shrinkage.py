@@ -36,10 +36,9 @@ class ShrinkageOutput:
     kept: np.ndarray            # indices (0-based) of kept components
     coords: np.ndarray          # n x r, rows as far apart as denoised's columns
     transposed: bool
-    # denoised is formed from these: the kept left singular vectors U of Xw
-    # (X with the short side first), their d / sigma scales, and Xw itself
+    # denoised is formed from these, shrunk and the kept spectrum: the kept
+    # left singular vectors U of Xw (X with the short side first), and Xw
     left: np.ndarray = field(repr=False)
-    scale: np.ndarray = field(repr=False)
     short_side: np.ndarray = field(repr=False)
     warnings: list = field(default_factory=list)
 
@@ -51,7 +50,8 @@ class ShrinkageOutput:
         u_i cancels, so no sign convention is needed.
         """
         U = self.left
-        denoised = (U * self.scale) @ (U.T @ self.short_side)
+        scale = self.shrunk / np.sqrt(self.spectrum[self.kept])
+        denoised = (U * scale) @ (U.T @ self.short_side)
         return denoised.T if self.transposed else denoised
 
 
@@ -213,7 +213,6 @@ def eoptshrink(X, k=10):
         U = left[:, kept]
         notes.append(f"SVD taken: {reason}")
 
-    scale = shrunk / np.sqrt(spectrum[kept])
     # U and the v_i have orthonormal columns, so the samples are as far apart
     # as the rows of U diag(d) (samples on the short side) or of
     # (diag(d / sigma) U^T Xw)^T (samples on the long side)
@@ -221,7 +220,7 @@ def eoptshrink(X, k=10):
         coords = np.multiply(U, shrunk, order="C")
     else:
         coords = np.ascontiguousarray((U.T @ Xw).T)
-        coords *= scale
+        coords *= shrunk / np.sqrt(spectrum[kept])
 
     return ShrinkageOutput(
         spectrum=spectrum,
@@ -234,7 +233,6 @@ def eoptshrink(X, k=10):
         coords=coords,
         transposed=transposed,
         left=U,
-        scale=scale,
         short_side=Xw,
         warnings=notes,
     )

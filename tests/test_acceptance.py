@@ -205,7 +205,7 @@ def test_criterion_7_metric_recall():
         np.fill_diagonal(A, np.inf)
         true20 = np.argsort(A, axis=1)[:, :20]
         hood = global_metric(X, PipelineConfig(K=K, k_local=20, seed=0)).neighborhoods(K)
-        raw = GlobalMetric(kind="diffusion", coords=X.T).neighborhoods(K)
+        raw = GlobalMetric(coords=X.T).neighborhoods(K)
         ros_recalls.append(np.mean([np.isin(true20[i], hood[i]).mean() for i in range(n)]))
         raw_recalls.append(np.mean([np.isin(true20[i], raw[i]).mean() for i in range(n)]))
     ros, rawr = float(np.mean(ros_recalls)), float(np.mean(raw_recalls))

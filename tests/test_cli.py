@@ -232,14 +232,13 @@ class TestEvaluate:
 
 
 class TestExperiment:
-    def small_config(self, tmp_path, out_dir):
+    def small_config(self, tmp_path):
         cfg = {
             "p": 60, "n": 400,
             "manifolds": ["m1"], "noises": ["gaussian"], "alphas": [1.0, 0.5],
             "pipeline": {"K": 30, "k_local": 5},
             "baselines": ["raw"],
             "seed": 11,
-            "output_dir": str(out_dir),
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
@@ -251,11 +250,10 @@ class TestExperiment:
             "p": 100, "n": 1000,
             "pipeline": {"K": 50, "k_local": 10},
             "seed": 5,
-            "output_dir": str(out),
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
-        assert run(["experiment", "--config", path]) == EXIT_OK
+        assert run(["experiment", "--config", path, "--out", out]) == EXIT_OK
         with open(out / "summary.csv") as fh:
             lines = fh.read().strip().splitlines()
         # 2 manifolds x 2 noises x 3 alphas x 4 methods + header
@@ -270,8 +268,8 @@ class TestExperiment:
     def test_rerun_identical_summary(self, tmp_path):
         outs = [tmp_path / "r1", tmp_path / "r2"]
         for out in outs:
-            path = self.small_config(tmp_path, out)
-            assert run(["experiment", "--config", path]) == EXIT_OK
+            path = self.small_config(tmp_path)
+            assert run(["experiment", "--config", path, "--out", out]) == EXIT_OK
         s1 = (outs[0] / "summary.csv").read_bytes()
         s2 = (outs[1] / "summary.csv").read_bytes()
         assert s1 == s2
@@ -284,11 +282,10 @@ class TestExperiment:
             "alphas": [1.0 / 3.0, 0.33333334],
             "pipeline": {"K": 30, "k_local": 5},
             "baselines": ["raw"], "seed": 0,
-            "output_dir": str(out),
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
-        assert run(["experiment", "--config", path]) == EXIT_USAGE
+        assert run(["experiment", "--config", path, "--out", out]) == EXIT_USAGE
         assert "m1-gaussian-0.333333" in capsys.readouterr().err
         assert not os.path.exists(out)
 
@@ -312,10 +309,7 @@ class TestExperiment:
          "t must be positive and finite, got '1'"),
         ({"baseline": ["raw"]}, "unknown experiment keys ['baseline']"),
         ({"sed": 7}, "unknown experiment keys ['sed']"),
-        ({"output_dir": None}, "output_dir must be a non-empty path string, got None"),
-        ({"output_dir": 5}, "output_dir must be a non-empty path string, got 5"),
-        ({"output_dir": []}, "output_dir must be a non-empty path string, got []"),
-        ({"output_dir": ""}, "output_dir must be a non-empty path string, got ''"),
+        ({"output_dir": "results/"}, "unknown experiment keys ['output_dir']"),
     ])
     def test_bad_config_exit_two_before_any_cell(
         self, tmp_path, monkeypatch, capsys, change, message
@@ -325,9 +319,9 @@ class TestExperiment:
 
         monkeypatch.setattr(cli, "make_dataset", fail)
         out = tmp_path / "grid"
-        path = self.small_config(tmp_path, out)
+        path = self.small_config(tmp_path)
         path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
-        assert run(["experiment", "--config", path]) == EXIT_USAGE
+        assert run(["experiment", "--config", path, "--out", out]) == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
@@ -350,7 +344,6 @@ class TestExperiment:
             "manifolds": ["m1"], "noises": ["gaussian", "separable"], "alphas": [0.5],
             "pipeline": {"K": 30, "k_local": 5, "global_mode": "shrink-only"},
             "baselines": ["raw", "tsvd", "global-shrink"], "seed": 4,
-            "output_dir": str(out),
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
@@ -362,7 +355,7 @@ class TestExperiment:
             return real(X, **kwargs)
 
         monkeypatch.setattr(cli, "eoptshrink", counting)
-        assert run(["experiment", "--config", path]) == EXIT_OK
+        assert run(["experiment", "--config", path, "--out", out]) == EXIT_OK
         assert calls == [(60, 400), (60, 400)]
 
         for noise in cfg["noises"]:
@@ -391,11 +384,10 @@ class TestExperiment:
             "manifolds": ["m1"], "noises": ["gaussian"], "alphas": [0],
             "pipeline": {"q_prime": 50, "K": 30, "k_local": 5},
             "baselines": ["raw", "tsvd", "global-shrink"], "seed": 4,
-            "output_dir": str(out),
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
-        assert run(["experiment", "--config", path]) == EXIT_OK
+        assert run(["experiment", "--config", path, "--out", out]) == EXIT_OK
         diag = storage.load_json(out / "m1-gaussian-0" / "diagnostics.json")
         assert diag["embedding_dim"] == 19
         assert any("q_prime=50 to 19" in w for w in diag["warnings"])
@@ -405,7 +397,8 @@ class TestExperiment:
 
         # without a shrinking baseline there is no baseline_warnings key
         small = tmp_path / "small"
-        assert run(["experiment", "--config", self.small_config(tmp_path, small)]) == EXIT_OK
+        assert run(["experiment", "--config", self.small_config(tmp_path),
+                    "--out", small]) == EXIT_OK
         diag = storage.load_json(small / "m1-gaussian-1" / "diagnostics.json")
         assert "baseline_warnings" not in diag and diag["warnings"] == []
 
@@ -417,11 +410,10 @@ class TestExperiment:
             "manifolds": ["m1", "m3"], "noises": ["gaussian"], "alphas": [1.0],
             "pipeline": {"K": 30, "k_local": 5},
             "baselines": ["raw"], "seed": 0,
-            "output_dir": str(out),
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
-        assert run(["experiment", "--config", path]) == EXIT_OK
+        assert run(["experiment", "--config", path, "--out", out]) == EXIT_OK
         failures = storage.load_json(out / "failures.json")
         assert failures == [
             {"cell": "m1-gaussian-1", "error": "p must be >= 5, got 4"}

@@ -120,3 +120,28 @@ def test_every_public_name_is_exported_or_read():
     init = (Path(rosdos.__file__).parent / "__init__.py").read_text()
     dead = [(path, name) for path, _, name in dead_public_names(sources, init)]
     assert dead == sorted(KEPT_UNREAD)
+
+
+# pyproject.toml allows Python 3.10, so no file may use later syntax
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(path for folder in ("src/rosdos", "tests", "perfbench")
+                 for path in (ROOT / folder).rglob("*.py"))
+
+
+def rejects_3_10_syntax(source):
+    try:
+        ast.parse(source, feature_version=(3, 10))
+    except SyntaxError:
+        return True
+    return False
+
+
+def test_finds_syntax_newer_than_3_10():
+    assert rejects_3_10_syntax("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert not rejects_3_10_syntax("match x:\n    case 1:\n        pass\n")
+
+
+def test_every_file_parses_as_python_3_10():
+    assert len(SOURCES) > 20
+    assert [str(path.relative_to(ROOT)) for path in SOURCES
+            if rejects_3_10_syntax(path.read_text())] == []

@@ -99,7 +99,7 @@ class TestGlobalMetric:
         X = np.ones((4, 10))
         cfg = PipelineConfig(h=1.0, K=5, k_local=2)
         m = global_metric(X, cfg)
-        assert m.kind == "diffusion"
+        assert m.shrink is None
         assert metric_distance(m, 0, 9) == pytest.approx(0.0, abs=1e-8)
 
     def test_symmetry_nonnegativity(self):
@@ -113,14 +113,14 @@ class TestGlobalMetric:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((60, 2)) @ rng.standard_normal((2, 300))
         m = global_metric(X, PipelineConfig(global_mode=MODE_GLOBAL_SHRINK, K=20, k_local=5))
-        assert m.kind == "euclidean-denoised"
+        assert m.shrink is not None
         for i, j in [(0, 1), (5, 200), (17, 99)]:
             raw = np.linalg.norm(X[:, i] - X[:, j])
             assert metric_distance(m, i, j) == pytest.approx(raw, rel=0.02)
 
     def test_neighborhoods_match_bruteforce(self, monkeypatch):
         rng = np.random.default_rng(2)
-        m = GlobalMetric(kind="diffusion", coords=rng.standard_normal((50, 3)))
+        m = GlobalMetric(coords=rng.standard_normal((50, 3)))
         hoods = blocked_neighborhoods(monkeypatch, m, 7, 16)
         for i in range(50):
             d = np.linalg.norm(m.coords - m.coords[i], axis=1)
@@ -132,7 +132,7 @@ class TestGlobalMetric:
         # integer points repeated: exact distance ties straddle the K-th place
         rng = np.random.default_rng(5)
         pts = rng.integers(0, 3, size=(60, 2)).astype(float)
-        m = GlobalMetric(kind="diffusion", coords=np.concatenate([pts, pts[:25]]))
+        m = GlobalMetric(coords=np.concatenate([pts, pts[:25]]))
         for K, block in [(7, 16), (30, 32), (84, 512), (np.int64(84), 1)]:
             ref = reference_neighborhoods(m.coords, K, block)
             assert np.array_equal(
@@ -147,7 +147,7 @@ class TestGlobalMetric:
         assert n == 100 or n % block
         rng = np.random.default_rng(n)
         coords = rng.integers(0, 4, size=(n, 3)).astype(float)  # many ties
-        m = GlobalMetric(kind="diffusion", coords=coords)
+        m = GlobalMetric(coords=coords)
         refs = {K: reference_neighborhoods(coords, K, block) for K in (5, 40)}
         for K, ref in refs.items():
             assert np.array_equal(m.neighborhoods(K), ref)
@@ -161,14 +161,14 @@ class TestGlobalMetric:
         # 40 repeat the first 40, an exact tie for each of them
         rng = np.random.default_rng(35)
         coords = 5.0 + 1e3 * rng.standard_normal((300, 4))
-        m = GlobalMetric(kind="diffusion", coords=np.concatenate([coords, coords[:40]]))
+        m = GlobalMetric(coords=np.concatenate([coords, coords[:40]]))
         for K in (1, 20, 100):
             ref = reference_neighborhoods(m.coords, K, block)
             assert np.array_equal(blocked_neighborhoods(monkeypatch, m, K, block), ref)
 
     @pytest.mark.parametrize("K", [0, -1, 10, 11, 2.0, True, None])
     def test_neighborhoods_bad_K_rejected(self, K):
-        m = GlobalMetric(kind="diffusion", coords=np.zeros((10, 2)))
+        m = GlobalMetric(coords=np.zeros((10, 2)))
         with pytest.raises(ValueError, match=r"K must be an integer in \[1, 9\]"):
             m.neighborhoods(K)
 
@@ -182,7 +182,7 @@ class TestGlobalMetric:
         np.fill_diagonal(A, np.inf)
         true20 = np.argsort(A, axis=1)[:, :20]
         hood = global_metric(X, PipelineConfig(K=K, k_local=20, seed=0)).neighborhoods(K)
-        raw = GlobalMetric(kind="diffusion", coords=X.T).neighborhoods(K)
+        raw = GlobalMetric(coords=X.T).neighborhoods(K)
 
         def recall(h):
             return np.mean(
@@ -280,6 +280,17 @@ class TestRecoverPoint:
             with pytest.raises(ValueError,
                                match=r"k_local must be an integer in \[1, 3\]"):
                 recover_point(np.ones((2, 3)), np.arange(3), [0.0, 1.0, 2.0], k)
+
+    @pytest.mark.parametrize("patch", [
+        [-1, 0, 1],             # would wrap to column 9
+        [0, 1, 20],             # past the end, though never selected
+        [0.0, 1.0, 2.0],
+        [True, False, True],
+    ])
+    def test_patch_must_name_columns(self, patch):
+        X = np.arange(50.0).reshape(5, 10)
+        with pytest.raises(ValueError, match=r"integer column indices in \[0, 10\)"):
+            recover_point(X, np.array(patch), np.zeros(3), 2)
 
     def test_reads_only_selected_columns(self):
         X = np.arange(12.0).reshape(2, 6)
@@ -427,7 +438,7 @@ class TestRosdos:
         metric = global_metric(X, cfg)
         assert metric.coords.shape == (120, 0)
         # every distance is 0, so neighbors and selections go by lowest index
-        zero = GlobalMetric(kind="euclidean-denoised", coords=np.zeros((120, 30)))
+        zero = GlobalMetric(coords=np.zeros((120, 30)))
         hoods = zero.neighborhoods(cfg.K)
         assert np.array_equal(metric.neighborhoods(cfg.K), hoods)
         St, _ = rosdos(X, cfg)
