@@ -17,8 +17,6 @@ from .pipeline import MODES, PipelineConfig, rosdos
 from .shrinkage import eoptshrink
 from .synth import ManifoldSpec, NoiseSpec, check_specs, make_dataset
 
-ENV_OUTPUT_DIR = "ROSDOS_OUTPUT_DIR"
-
 _BASELINES = ("raw", "tsvd", "global-shrink")
 _FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)]
 
@@ -35,10 +33,6 @@ _REPORTED = ("msnr_db", "nrmse_median", "nrmse_mean", "noise_ratio_median")
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
-
-
-def _default_out():
-    return os.environ.get(ENV_OUTPUT_DIR, ".")
 
 
 def _cell_seed(master_seed, cell_id):
@@ -267,7 +261,7 @@ def build_parser():
     sim.add_argument("--noise", choices=["gaussian", "separable"], required=True)
     sim.add_argument("--alpha", type=float, default=0.5)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--out", default=_default_out())
+    sim.add_argument("--out", default=".")
     sim.set_defaults(func=cmd_simulate)
 
     den = sub.add_parser("denoise", help="denoise a matrix from disk")
@@ -281,7 +275,7 @@ def build_parser():
     den.add_argument("--k", dest="k_local", metavar="K", type=int)
     den.add_argument("--k-imp", dest="k_imp", type=int)
     den.add_argument("--seed", type=int)
-    den.add_argument("--out", default=_default_out())
+    den.add_argument("--out", default=".")
     # a flag left out takes its PipelineConfig field's default
     den.set_defaults(func=cmd_denoise, **PipelineConfig().to_dict())
 
@@ -294,7 +288,7 @@ def build_parser():
 
     exp = sub.add_parser("experiment", help="run a full simulation grid")
     exp.add_argument("--config", required=True)
-    exp.add_argument("--out", default=_default_out())
+    exp.add_argument("--out", default=".")
     exp.set_defaults(func=cmd_experiment)
     return parser
 

@@ -41,17 +41,22 @@ def auto_bandwidth(X, landmarks):
     return h
 
 
-def select_landmarks(X, gamma, seed):
-    """Uniformly subsample round(n^gamma) landmark indices, sorted ascending."""
-    X = as_matrix(X, "X")
-    n = X.shape[1]
+def landmark_count(n, gamma):
+    """round(n^gamma) for a real gamma in (0, 1); ValueError below 2."""
     if not (is_real(gamma) and 0 < gamma < 1):
         raise ValueError(f"gamma must be a real number in (0, 1), got {gamma!r}")
     m = round_half_up(n ** gamma)
     if m < 2:
         raise ValueError(f"landmark count round({n}^{gamma}) = {m} < 2")
+    return m
+
+
+def select_landmarks(X, gamma, seed):
+    """Uniformly subsample round(n^gamma) landmark indices, sorted ascending."""
+    X = as_matrix(X, "X")
+    n = X.shape[1]
     rng = np.random.default_rng(seed)
-    idx = rng.choice(n, size=m, replace=False)
+    idx = rng.choice(n, size=landmark_count(n, gamma), replace=False)
     return np.sort(idx)
 
 

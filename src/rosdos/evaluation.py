@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .numerics import (
-    as_matrix, binary_exponent, is_integer, kept_eigenvectors,
+    GRAM_FLOOR, as_matrix, binary_exponent, is_integer, kept_eigenvectors,
     short_side_spectrum, svd)
 from .synth import msnr
 
@@ -83,11 +83,11 @@ def baseline_tsvd(X, r):
     # the scaling is exact and cancels in U_r U_r^T X
     _, transposed, gram, spectrum = short_side_spectrum(
         np.ldexp(X, -binary_exponent(X)))
-    # the Gram matrix squares the condition number: below sqrt(eps) * lambda_0
-    # it does not resolve the r-th component, so take the SVD instead; so too
-    # when the top-r eigenvectors fail their checks
+    # the SVD when the Gram matrix does not resolve the r-th component (its
+    # eigenvalue below GRAM_FLOOR * lambda_0) or the top-r eigenvectors fail
+    # their checks
     U = None
-    if spectrum[r - 1] > np.sqrt(np.finfo(float).eps) * spectrum[0]:
+    if spectrum[r - 1] >= GRAM_FLOOR * spectrum[0]:
         U = kept_eigenvectors(gram, spectrum, np.arange(r))
     if U is None:
         U, s, Vh = svd(X)

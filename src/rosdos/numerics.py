@@ -76,6 +76,11 @@ def short_side_spectrum(X):
     return Xw, transposed, gram, np.maximum(lam[::-1], 0.0)
 
 
+# Forming a Gram matrix squares the condition number, so an eigenvalue below
+# GRAM_FLOOR * lambda_max keeps few correct digits; a caller that reads one
+# takes the SVD instead. An eigenvalue at the floor stays with the Gram matrix.
+GRAM_FLOOR = np.sqrt(np.finfo(float).eps)
+
 # Power steps replace inverse iteration for the top vector when
 # lambda_1 / lambda_0 is below this. At 0.3 a 101 x 101 paper patch Gram
 # matrix needs 27 steps, about the cost of the one solve they replace: one

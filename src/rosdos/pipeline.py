@@ -58,6 +58,8 @@ class PipelineConfig:
             raise ValueError(
                 f"gamma must be a real number in (0, 1), got {self.gamma!r}"
             )
+        if self.global_mode == MODE_ROSELAND:  # only roseland draws landmarks
+            diffusion.landmark_count(n, self.gamma)
         if not is_positive_finite(self.t):
             raise ValueError(f"t must be positive and finite, got {self.t!r}")
         h = self.h
@@ -108,7 +110,6 @@ class GlobalMetric:
 
 @dataclass
 class Diagnostics:
-    global_mode: str
     global_effective_rank: int | None
     local_ranks: list
     fallbacks: int
@@ -187,7 +188,6 @@ def rosdos(X, cfg):
 
     t0 = time.perf_counter()
     metric = global_metric(X, cfg)
-    global_out = metric.shrink
     timings["global_metric"] = time.perf_counter() - t0
 
     # shrink-only recovers each point from itself and its k_local - 1
@@ -223,20 +223,18 @@ def rosdos(X, cfg):
         recovered[:, start:stop] = recover_point(Xf, patches, dists, cfg.k_local)
     timings["recovery"] = time.perf_counter() - t0
 
-    notes = list(global_out.warnings) if global_out is not None else []
-    embedding_dim = None
-    if global_out is None:  # roseland: the coordinates are the embedding
-        embedding_dim = metric.coords.shape[1]
+    if metric.shrink is None:  # roseland: the coordinates are the embedding
+        notes, global_rank, embedding_dim = [], None, metric.coords.shape[1]
         if embedding_dim < cfg.q_prime:
             notes.append(
                 f"embedding dimension cut from q_prime={cfg.q_prime} to "
                 f"{embedding_dim}, one less than the landmark count"
             )
+    else:
+        notes = list(metric.shrink.warnings)
+        global_rank, embedding_dim = metric.shrink.effective_rank, None
     diag = Diagnostics(
-        global_mode=cfg.global_mode,
-        global_effective_rank=(
-            global_out.effective_rank if global_out is not None else None
-        ),
+        global_effective_rank=global_rank,
         local_ranks=local_ranks,
         fallbacks=sum(fallback_reasons.values()),
         fallback_reasons=dict(fallback_reasons),

@@ -12,13 +12,11 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import (
-    as_matrix, is_integer, kept_eigenvectors, round_half_up,
+    GRAM_FLOOR, as_matrix, is_integer, kept_eigenvectors, round_half_up,
     short_side_spectrum, svd)
 
 # 1 / (2^(2/3) - 1), the spread coefficient of the bulk-edge extrapolation
 _EDGE_COEF = 1.0 / (2.0 ** (2.0 / 3.0) - 1.0)
-
-_SQRT_EPS = np.sqrt(np.finfo(float).eps)
 
 
 class ShrinkageError(ValueError):
@@ -29,7 +27,6 @@ class ShrinkageError(ValueError):
 class ShrinkageOutput:
     spectrum: np.ndarray        # noisy eigenvalues of X X^T (after orientation)
     bulk_edge: float
-    rank_threshold: float
     effective_rank: int
     imputed: np.ndarray
     shrunk: np.ndarray          # one value per kept component
@@ -92,11 +89,11 @@ def impute_noise_eigs(spectrum, k):
 
 
 def _rank_estimates(spectrum, n, k):
-    """Bulk edge, rank threshold, effective rank, and the imputation count k
-    raised to effective_rank + 5 when the rank reaches it."""
+    """Bulk edge, effective rank, and the imputation count k raised to
+    effective_rank + 5 when the rank reaches it."""
     edge = estimate_bulk_edge(spectrum, n)
     r = estimate_effective_rank(spectrum, edge, n)
-    return edge, edge + n ** (-1.0 / 3.0), r, (r + 5 if r >= k else k)
+    return edge, r, (r + 5 if r >= k else k)
 
 
 def _shrink_components(spectrum, r, k, k_used, beta):
@@ -192,12 +189,10 @@ def eoptshrink(X, k=10):
     if not np.all(np.isfinite(spectrum)):
         raise ShrinkageError("non-finite spectrum: the Gram matrix of X overflows")
     beta = pw / nw
-    edge, threshold, r, k_used = _rank_estimates(spectrum, nw, k)
-    # Forming the Gram matrix squares the condition number, so an eigenvalue
-    # below sqrt(eps) * lambda_max keeps few correct digits. When the smallest
-    # order statistic the estimators read is that small, use the SVD instead.
+    edge, r, k_used = _rank_estimates(spectrum, nw, k)
+    # the smallest order statistic the estimators read
     floor = spectrum[min(2 * max(k_used, m_edge), pw - 1)]
-    if floor < _SQRT_EPS * spectrum[0]:
+    if floor < GRAM_FLOOR * spectrum[0]:
         reason = "ill-conditioned Gram"
     else:
         notes, imputed, kept, shrunk = _shrink_components(
@@ -207,7 +202,7 @@ def eoptshrink(X, k=10):
     if reason is not None:
         left, s, _ = svd(Xw)
         spectrum = s ** 2
-        edge, threshold, r, k_used = _rank_estimates(spectrum, nw, k)
+        edge, r, k_used = _rank_estimates(spectrum, nw, k)
         notes, imputed, kept, shrunk = _shrink_components(
             spectrum, r, k, k_used, beta)
         U = left[:, kept]
@@ -225,7 +220,6 @@ def eoptshrink(X, k=10):
     return ShrinkageOutput(
         spectrum=spectrum,
         bulk_edge=edge,
-        rank_threshold=threshold,
         effective_rank=r,
         imputed=imputed,
         shrunk=shrunk,

@@ -33,8 +33,6 @@ class SyntheticDataset:
     noise: np.ndarray    # the scaled noise actually added
     latent: np.ndarray   # per-column intrinsic parameters
     msnr_db: float
-    manifold: ManifoldSpec
-    noise_spec: NoiseSpec
 
 
 def sample_m1(p, n, seed):
@@ -268,6 +266,4 @@ def make_dataset(mspec, nspec):
         noise=noise,
         latent=latent,
         msnr_db=msnr(clean, noise),
-        manifold=mspec,
-        noise_spec=nspec,
     )

@@ -118,7 +118,7 @@ class TestDenoise:
         )
         assert code == EXIT_OK
         diag = storage.load_json(out / "diagnostics.json")
-        assert diag["global_mode"] == "roseland"
+        assert diag["config"]["global_mode"] == "roseland"
         assert "timings" in diag and "config" in diag
 
     def test_invalid_k_exit_two(self, tmp_path, dataset, capsys):
@@ -185,6 +185,13 @@ class TestDenoise:
         assert "underflows" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "x")
 
+    def test_too_few_landmarks_exit_two(self, tmp_path, dataset, capsys):
+        code = run(["denoise", "--input", dataset / "noisy.csv", "--K", 30,
+                    "--k", 5, "--gamma", 0.05, "--out", tmp_path / "x"])
+        assert code == EXIT_USAGE
+        assert "landmark count round(300^0.05) = 1 < 2" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x")
+
     def test_missing_input_exit_one(self, tmp_path):
         assert run(
             ["denoise", "--input", tmp_path / "nope.csv", "--out", tmp_path]
@@ -229,6 +236,18 @@ class TestEvaluate:
             ["evaluate", "--clean", dataset / "clean.csv",
              "--denoised", small, "--out", tmp_path / "m.json"]
         ) == EXIT_USAGE
+
+
+    def test_noisy_shape_mismatch_exit_two(self, tmp_path, dataset, capsys):
+        small = tmp_path / "small.csv"
+        storage.save_matrix(small, np.ones((3, 4)))
+        assert run(
+            ["evaluate", "--clean", dataset / "clean.csv",
+             "--denoised", dataset / "noisy.csv", "--noisy", small,
+             "--out", tmp_path / "m.json"]
+        ) == EXIT_USAGE
+        assert "shape mismatch: clean (60, 300) vs noisy (3, 4)" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "m.json")
 
 
 class TestExperiment:
@@ -310,6 +329,9 @@ class TestExperiment:
         ({"baseline": ["raw"]}, "unknown experiment keys ['baseline']"),
         ({"sed": 7}, "unknown experiment keys ['sed']"),
         ({"output_dir": "results/"}, "unknown experiment keys ['output_dir']"),
+        ({"pipeline": []}, "pipeline must be an object, got []"),
+        ({"pipeline": {"K": 30, "k_local": 5, "gamma": 0.05}},
+         "landmark count round(400^0.05) = 1 < 2"),
     ])
     def test_bad_config_exit_two_before_any_cell(
         self, tmp_path, monkeypatch, capsys, change, message
@@ -476,7 +498,7 @@ class TestStorage:
     @staticmethod
     def diagnostics_record():
         diag = Diagnostics(
-            global_mode="roseland", global_effective_rank=None,
+            global_effective_rank=None,
             local_ranks=[1, 2, -1, 3] * 50, fallbacks=1,
             fallback_reasons={"matrix too small: min(p,n)=3 must exceed 21": 1},
             embedding_dim=4, timings={"recovery": 0.125, "neighborhoods": 1e-3},

@@ -100,6 +100,17 @@ class TestDmEmbed:
         assert np.allclose(np.abs(e2.coords), np.abs(e1.coords[perm]), atol=1e-8)
 
 
+class TestAutoBandwidth:
+    def test_median_when_the_correction_is_zero(self):
+        # squared distances to the landmarks: two 0s and 198 2s, so the
+        # median and the 5th percentile are both 2
+        assert auto_bandwidth(np.eye(100), np.array([0, 1])) == 2.0
+
+    def test_degenerate_cloud_rejected(self):
+        with pytest.raises(ValueError, match="degenerate point cloud"):
+            auto_bandwidth(np.zeros((3, 20)), np.array([0, 1]))
+
+
 class TestSelectLandmarks:
     def test_count(self):
         X = np.zeros((2, 100))
@@ -130,6 +141,12 @@ class TestRoselandEmbed:
         X = np.ones((3, 8))
         emb = roseland_embed(X, np.arange(3), 1.0, 1, 1.0)
         assert np.allclose(emb.coords, 0.0, atol=1e-8)
+
+    def test_zero_kernel_row_rejected(self):
+        # the last point's affinity to every landmark underflows to 0
+        X = np.array([[0.0, 1.0, 2.0, 1000.0]])
+        with pytest.raises(ValueError, match="zero row in the landmark kernel"):
+            roseland_embed(X, np.arange(3), 1.0, 1, 1.0)
 
     def test_top_singular_value_one(self):
         rng = np.random.default_rng(6)

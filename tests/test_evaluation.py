@@ -71,6 +71,11 @@ class TestNrmse:
         assert out[2] == pytest.approx(np.sqrt(32 / 9), rel=1e-15)
 
 
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match=r"shape mismatch: \(3, 4\) vs \(3, 5\)"):
+            nrmse(np.ones((3, 4)), np.ones((3, 5)))
+
+
 class TestBaselineTsvd:
     def test_full_rank_identity(self):
         rng = np.random.default_rng(2)
@@ -199,6 +204,11 @@ class TestSummarize:
         assert scaled.nrmse == rep.nrmse
         assert scaled.noise_ratio_median == rep.noise_ratio_median
         assert scaled.msnr_db == rep.msnr_db
+
+    def test_noise_shape_mismatch(self):
+        S, Xi = self.data()
+        with pytest.raises(ValueError, match="noise shape must match clean shape"):
+            summarize(S, S, noise=Xi[:, 1:])
 
     def test_do_nothing_equals_noise_ratio(self):
         S, Xi = self.data()

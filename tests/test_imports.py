@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, and so is
 every private name it defines at module level. Every public module-level
 function or class is exported by __init__.py or read somewhere in the
-package, bar the named exceptions in KEPT_UNREAD.
+package, bar the named exceptions in KEPT_UNREAD. Every field of a package
+dataclass is read somewhere in the package, its tests or perfbench.
 
 __init__.py is skipped by the first two checks: its imports are the public
 API.
@@ -145,3 +146,59 @@ def test_every_file_parses_as_python_3_10():
     assert len(SOURCES) > 20
     assert [str(path.relative_to(ROOT)) for path in SOURCES
             if rejects_3_10_syntax(path.read_text())] == []
+
+
+def is_dataclass_node(node):
+    """True for a class decorated with @dataclass or @dataclasses.dataclass,
+    called or not."""
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else \
+            getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def unread_dataclass_fields(sources, readers):
+    """(file, line, "Class.field") of each field of a dataclass in sources
+    ({file name: source}) that no source in readers loads as an attribute.
+
+    A class with a to_dict method is skipped: it is serialised whole, so
+    each field is read there. Fields are matched by attribute name only,
+    as in dead_public_names: a field counts as read when any object's
+    attribute of that name is, so SyntheticDataset.manifold, say, would
+    pass through cli's args.manifold.
+    """
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.ClassDef) and is_dataclass_node(node)):
+                continue
+            if any(isinstance(item, ast.FunctionDef) and item.name == "to_dict"
+                   for item in node.body):
+                continue
+            found += [(path, item.lineno, f"{node.name}.{item.target.id}")
+                      for item in node.body
+                      if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)
+                      and item.target.id not in read]
+    return sorted(found)
+
+
+def test_finds_an_unread_dataclass_field():
+    sources = {"a.py": (
+        "@dataclass\nclass A:\n    x: int\n    y: int = 0\n"
+        "@dataclasses.dataclass(frozen=True)\nclass B:\n    z: int\n"
+        "    def to_dict(self):\n        return {}\n"
+        "class C:\n    w: int\n")}
+    readers = ["def f(a):\n    a.y = 1\n    return a.x\n"]
+    assert unread_dataclass_fields(sources, readers) == [("a.py", 4, "A.y")]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {path.name: path.read_text() for path in MODULES}
+    readers = [path.read_text() for path in SOURCES]
+    assert unread_dataclass_fields(sources, readers) == []

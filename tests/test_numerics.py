@@ -47,6 +47,15 @@ class TestSvd:
             svd(np.array([[np.nan, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("values, message", [
+    (np.ones(3), r"M must be 2-D, got shape \(3,\)"),
+    (np.ones((0, 3)), "M must have at least one row and one column"),
+])
+def test_as_matrix_rejects_non_matrices(values, message):
+    with pytest.raises(ValueError, match=message):
+        numerics.as_matrix(values, "M")
+
+
 class TestPairwiseSqDist:
     def test_self_is_zero(self):
         a = np.array([[1.0], [2.0]])

@@ -38,7 +38,7 @@ class TestPipelineConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("K", 50.5), ("k_local", 2.5), ("q_prime", 2.5), ("k_imp", 3.5),
-         ("K", True), ("seed", 1.5), ("seed", -1)],
+         ("K", True), ("seed", 1.5), ("seed", -1), ("q_prime", 0), ("k_imp", 0)],
     )
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -62,6 +62,13 @@ class TestPipelineConfig:
     def test_bad_diffusion_time(self, t):
         with pytest.raises(ValueError, match="t must be positive and finite"):
             PipelineConfig(t=t).validate(1000)
+
+    def test_too_few_landmarks_rejected_in_roseland_mode(self):
+        with pytest.raises(ValueError, match=r"landmark count round\(300\^0.05\) = 1 < 2"):
+            PipelineConfig(gamma=0.05, K=30, k_local=5).validate(300)
+        # the other modes draw no landmarks
+        for mode in (MODE_GLOBAL_SHRINK, MODE_SHRINK_ONLY):
+            PipelineConfig(global_mode=mode, gamma=0.05, K=30, k_local=5).validate(300)
 
     def test_real_gamma_and_t_accepted(self):
         PipelineConfig(gamma=np.float64(0.25), t=0.5).validate(1000)
@@ -291,6 +298,10 @@ class TestRecoverPoint:
         X = np.arange(50.0).reshape(5, 10)
         with pytest.raises(ValueError, match=r"integer column indices in \[0, 10\)"):
             recover_point(X, np.array(patch), np.zeros(3), 2)
+
+    def test_X_must_be_2d(self):
+        with pytest.raises(ValueError, match=r"X must be 2-D, got shape \(5,\)"):
+            recover_point(np.ones(5), np.arange(3), np.zeros(3), 2)
 
     def test_reads_only_selected_columns(self):
         X = np.arange(12.0).reshape(2, 6)
@@ -563,5 +574,4 @@ class TestRosdos:
         X = rng.standard_normal((15, 80))
         St, diag = rosdos(X, PipelineConfig(K=10, k_local=3, seed=1))
         assert St.shape == X.shape
-        assert diag.global_mode == MODE_ROSELAND
         assert set(diag.timings) >= {"global_metric", "neighborhoods", "recovery"}

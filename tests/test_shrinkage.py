@@ -185,6 +185,10 @@ class TestImputeNoiseEigs:
         with pytest.raises(ShrinkageError):
             impute_noise_eigs([3.0, 2.0, 1.0], 2)
 
+    def test_k_below_one(self):
+        with pytest.raises(ShrinkageError, match="k must be >= 1, got 0"):
+            impute_noise_eigs([3.0, 2.0, 1.0], 0)
+
 
 class TestStieltjes:
     # frozen worked example: spectrum (9, 1, 0.5), k=1, beta=0.5, i=0
@@ -354,6 +358,14 @@ class TestEoptShrink:
     def test_too_small_rejected(self):
         with pytest.raises(ShrinkageError):
             eoptshrink(np.ones((5, 30)))
+
+    def test_too_short_to_raise_imputation_count(self):
+        # rank 1 reaches k=1, and 10 eigenvalues cannot impute k=6
+        X = self.spiked(p=10, n=100, sv=(10.0,))
+        with pytest.raises(ShrinkageError, match=(
+                "effective rank 1 >= k=1 and the spectrum is too short to "
+                "raise k to 6")):
+            eoptshrink(X, k=1)
 
     @pytest.mark.parametrize("k", [0, -3, 2.5, True, "3", None])
     def test_bad_imputation_count_rejected(self, k, monkeypatch):
@@ -580,7 +592,7 @@ class TestArrayRule:
 
     def assert_matches_scalar(self, lam, pw, nw, k=10):
         ref = reference_estimates(lam, pw, nw, k)
-        _, _, r, k_used = shrinkage._rank_estimates(lam, nw, k)
+        _, r, k_used = shrinkage._rank_estimates(lam, nw, k)
         notes, _, kept, shrunk = shrinkage._shrink_components(
             lam, r, k, k_used, pw / nw)
         assert np.array_equal(kept, ref.kept)

@@ -294,6 +294,22 @@ class TestSeparableNoise:
         ref = separable_noise(p, n, 5)[0]
         assert np.max(np.abs(Xi - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("p,n", [(60, 100), (60, 40)])
+    def test_householder_fallback_for_v(self, monkeypatch, p, n):
+        # q_factor returning None sends V to left^T's Householder Q factor,
+        # which changes only rounding
+        Xi = separable_noise(p, n, 5)[0]
+        calls = []
+
+        def singular(A, R):
+            calls.append(A.shape)
+            return None
+
+        monkeypatch.setattr(synth, "q_factor", singular)
+        fallback = separable_noise(p, n, 5)[0]
+        assert calls == [(n, min(p, n))]
+        assert np.max(np.abs(fallback - Xi)) <= 1e-12 * np.max(np.abs(Xi))
+
     def test_forms_no_tall_q_factor(self, monkeypatch):
         tall_q, r_only = [], []
         real = np.linalg.qr
@@ -391,6 +407,10 @@ class TestMsnr:
         noise = np.random.default_rng(3).standard_normal((3, 10))
         with pytest.raises(ValueError, match="signal covariance trace is zero"):
             msnr(np.ones((3, 10)), noise)
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match=r"shape mismatch: \(3, 4\) vs \(3, 5\)"):
+            msnr(np.ones((3, 4)), np.ones((3, 5)))
 
     def test_rejects_one_sample(self):
         with pytest.raises(ValueError, match="at least two samples, got 1"):
