@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    as_matrix, is_integer, is_positive_finite, is_real, pairwise_sq_dist,
-    round_half_up)
+    as_matrix, is_integer, is_positive_finite, is_real, round_half_up)
 
 
 @dataclass
@@ -20,8 +19,8 @@ class EmbeddingResult:
     spectrum: np.ndarray        # spectral factors used by the map
 
 
-def auto_bandwidth(X, landmarks):
-    """Noise-floor-corrected median squared distance heuristic over the
+def auto_bandwidth(sq_dists):
+    """Noise-floor-corrected median heuristic over the n x m squared
     distances from every sample to the landmarks.
 
     High-dimensional additive noise shifts every squared distance by a nearly
@@ -30,8 +29,7 @@ def auto_bandwidth(X, landmarks):
     clean data the correction is small and the rule reduces to the plain
     median.
     """
-    X = as_matrix(X, "X")
-    vals = pairwise_sq_dist(X, X[:, landmarks]).ravel()
+    vals = as_matrix(sq_dists, "sq_dists").ravel()
     med = float(np.median(vals))
     h = med - float(np.quantile(vals, 0.05))
     if h <= 0:
@@ -60,8 +58,10 @@ def select_landmarks(X, gamma, seed):
     return np.sort(idx)
 
 
-def roseland_embed(X, landmarks, h, q_prime, t):
-    """Landmark diffusion embedding from the SVD of the normalized affinity.
+def roseland_embed(sq_dists, h, q_prime, t):
+    """Landmark diffusion embedding from the SVD of the normalized affinity
+    exp(-D/h), D = sq_dists being the n x m sample-to-landmark squared
+    distances; a negative entry, whose kernel value could overflow, raises.
 
     A landmark's affinity to itself is kept, not zeroed. Singular values are
     nonnegative, so any real diffusion time t > 0 is valid, up to the t at
@@ -69,20 +69,20 @@ def roseland_embed(X, landmarks, h, q_prime, t):
     be finite. The coords' column signs are the SVD's: only distances
     between rows carry meaning.
     """
-    X = as_matrix(X, "X")
+    D = as_matrix(sq_dists, "sq_dists")
+    if np.any(D < 0):
+        raise ValueError("squared distances must be >= 0")
     if not is_positive_finite(h):
         raise ValueError(f"bandwidth h must be positive and finite, got {h!r}")
     if not is_positive_finite(t):
         raise ValueError(f"diffusion time must be positive and finite, got {t!r}")
-    landmarks = np.asarray(landmarks, dtype=int)
-    n = X.shape[1]
-    m = landmarks.size
+    n, m = D.shape
     if not (is_integer(q_prime) and 1 <= q_prime <= min(n, m) - 1):
         raise ValueError(
             f"q_prime must be an integer in [1, {min(n, m) - 1}], got {q_prime!r}"
         )
 
-    Wb = np.exp(-pairwise_sq_dist(X, X[:, landmarks]) / h)
+    Wb = np.exp(-D / h)
     deg = Wb @ (Wb.T @ np.ones(n))
     if np.any(deg <= 0):
         raise ValueError("zero row in the landmark kernel")

@@ -130,9 +130,10 @@ def global_metric(X, cfg):
     cfg.validate(n)
     if cfg.global_mode == MODE_ROSELAND:
         landmarks = diffusion.select_landmarks(X, cfg.gamma, cfg.seed)
-        h = cfg.h if cfg.h != "auto" else diffusion.auto_bandwidth(X, landmarks)
+        D = pairwise_sq_dist(X, X[:, landmarks])
+        h = cfg.h if cfg.h != "auto" else diffusion.auto_bandwidth(D)
         q = min(cfg.q_prime, min(n, landmarks.size) - 1)
-        emb = diffusion.roseland_embed(X, landmarks, h, q, cfg.t)
+        emb = diffusion.roseland_embed(D, h, q, cfg.t)
         return GlobalMetric(coords=emb.coords)
     out = shrinkage.eoptshrink(X, k=cfg.k_imp)
     return GlobalMetric(coords=out.coords, shrink=out)

@@ -74,10 +74,14 @@ _EIG_FLOOR = 0.05
 _T5_SD = math.sqrt(5.0 / 3.0)
 
 
-def _symmetric_gaussian(p, rng):
-    """Symmetric matrix with i.i.d. N(0, 1/p) entries (upper triangle mirrored)."""
-    G = rng.normal(0.0, 1.0 / math.sqrt(p), size=(p, p))
-    return np.triu(G) + np.triu(G, k=1).T
+def _raise_floor(eigs, redraw, name):
+    """Redraw eigs' entries at or below _EIG_FLOOR in place, up to 100 rounds."""
+    for _ in range(100):
+        bad = eigs <= _EIG_FLOOR
+        if not bad.any():
+            return
+        eigs[bad] = redraw(bad)
+    raise ValueError(f"could not obtain positive eigenvalues for {name}")
 
 
 def _times_b_half(left, d, rng_h, rng_f):
@@ -132,32 +136,25 @@ def separable_noise(p, n, seed):
     ss = np.random.SeedSequence(seed).spawn(4)
     rng_a, rng_b, rng_z = (np.random.default_rng(s) for s in ss[:3])
 
-    wig = np.sort(np.linalg.eigvalsh(_symmetric_gaussian(p, rng_a)))[::-1]
+    # a Wigner matrix with N(0, 1/p) entries: eigvalsh reads one triangle
+    G = rng_a.normal(0.0, 1.0 / math.sqrt(p), size=(p, p))
+    wig = np.linalg.eigvalsh(G.T)[::-1]
     third = p // 3
     base = np.empty(p)
     base[:third] = 1.0
     base[third : 2 * third] = 0.25
     base[2 * third :] = 0.5
     a_eigs = base + wig / 32.0
-    for _ in range(100):
-        bad = a_eigs <= _EIG_FLOOR
-        if not bad.any():
-            break
-        a_eigs[bad] = base[bad] + rng_a.normal(0.0, 1.0, size=bad.sum()) / 32.0
-    else:
-        raise ValueError("could not obtain positive eigenvalues for A")
+    _raise_floor(
+        a_eigs, lambda bad: base[bad] + rng_a.normal(0.0, 1.0, size=bad.sum()) / 32.0,
+        "A")
 
     half = n // 2
     b_eigs = np.empty(n)
     b_eigs[:half] = rng_b.uniform(0.0, 1.0, size=half) / 4.0 + 1.0 / 6.0
     b_eigs[half:] = rng_b.standard_t(6, size=n - half) / 8.0 + 1.0
-    for _ in range(100):
-        bad = b_eigs <= _EIG_FLOOR
-        if not bad.any():
-            break
-        b_eigs[bad] = rng_b.standard_t(6, size=bad.sum()) / 8.0 + 1.0
-    else:
-        raise ValueError("could not obtain positive eigenvalues for B")
+    _raise_floor(
+        b_eigs, lambda bad: rng_b.standard_t(6, size=bad.sum()) / 8.0 + 1.0, "B")
 
     ss_q, ss_h, ss_f = ss[3].spawn(3)
     Q = random_orthogonal(p, np.random.default_rng(ss_q))

@@ -8,6 +8,7 @@ from full_graph import (
     full_graph_sq_dist,
 )
 from rosdos.diffusion import auto_bandwidth, roseland_embed, select_landmarks
+from rosdos.numerics import pairwise_sq_dist
 from rosdos.synth import ManifoldSpec, NoiseSpec, make_dataset, sample_m1
 
 
@@ -104,11 +105,17 @@ class TestAutoBandwidth:
     def test_median_when_the_correction_is_zero(self):
         # squared distances to the landmarks: two 0s and 198 2s, so the
         # median and the 5th percentile are both 2
-        assert auto_bandwidth(np.eye(100), np.array([0, 1])) == 2.0
+        X = np.eye(100)
+        assert auto_bandwidth(pairwise_sq_dist(X, X[:, [0, 1]])) == 2.0
 
     def test_degenerate_cloud_rejected(self):
+        X = np.zeros((3, 20))
         with pytest.raises(ValueError, match="degenerate point cloud"):
-            auto_bandwidth(np.zeros((3, 20)), np.array([0, 1]))
+            auto_bandwidth(pairwise_sq_dist(X, X[:, [0, 1]]))
+
+    def test_non_finite_distances_rejected(self):
+        with pytest.raises(ValueError, match="sq_dists contains non-finite"):
+            auto_bandwidth(np.array([[1.0, np.nan]]))
 
 
 class TestSelectLandmarks:
@@ -139,14 +146,21 @@ class TestSelectLandmarks:
 class TestRoselandEmbed:
     def test_degenerate_identical_cloud(self):
         X = np.ones((3, 8))
-        emb = roseland_embed(X, np.arange(3), 1.0, 1, 1.0)
+        emb = roseland_embed(pairwise_sq_dist(X, X[:, :3]), 1.0, 1, 1.0)
         assert np.allclose(emb.coords, 0.0, atol=1e-8)
 
     def test_zero_kernel_row_rejected(self):
         # the last point's affinity to every landmark underflows to 0
         X = np.array([[0.0, 1.0, 2.0, 1000.0]])
         with pytest.raises(ValueError, match="zero row in the landmark kernel"):
-            roseland_embed(X, np.arange(3), 1.0, 1, 1.0)
+            roseland_embed(pairwise_sq_dist(X, X[:, :3]), 1.0, 1, 1.0)
+
+    def test_negative_squared_distance_rejected(self):
+        # exp(-D/h) would overflow to inf at D = -1000
+        D = np.ones((5, 3))
+        D[2, 1] = -1000.0
+        with pytest.raises(ValueError, match="squared distances must be >= 0"):
+            roseland_embed(D, 1.0, 1, 1.0)
 
     def test_top_singular_value_one(self):
         rng = np.random.default_rng(6)
@@ -163,7 +177,7 @@ class TestRoselandEmbed:
         rng = np.random.default_rng(7)
         X = rng.standard_normal((3, 40))
         h = full_graph_bandwidth(X)
-        emb = roseland_embed(X, np.arange(40), h, 5, 1.0)
+        emb = roseland_embed(pairwise_sq_dist(X, X), h, 5, 1.0)
 
         Wb = np.exp(-((X[:, :, None] - X[:, None, :]) ** 2).sum(axis=0) / h)
         K = Wb @ Wb.T
@@ -183,38 +197,39 @@ class TestRoselandEmbed:
     def test_rejects_non_finite_bandwidth_and_time(self, h, t, message):
         X = np.random.default_rng(8).standard_normal((3, 30))
         with pytest.raises(ValueError, match=message):
-            roseland_embed(X, np.arange(0, 30, 3), h, 3, t)
+            roseland_embed(pairwise_sq_dist(X, X[:, ::3]), h, 3, t)
 
     @pytest.mark.parametrize("q_prime", [2.5, True, "2", 0])
     def test_rejects_q_prime_not_a_valid_integer(self, q_prime):
         X = np.random.default_rng(8).standard_normal((3, 30))
         with pytest.raises(ValueError, match="q_prime must be an integer in"):
-            roseland_embed(X, np.arange(0, 30, 3), 2.0, q_prime, 1.0)
+            roseland_embed(pairwise_sq_dist(X, X[:, ::3]), 2.0, q_prime, 1.0)
 
     def test_fractional_time_allowed(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((3, 30))
-        emb = roseland_embed(X, np.arange(0, 30, 3), 2.0, 3, 0.5)
+        emb = roseland_embed(pairwise_sq_dist(X, X[:, ::3]), 2.0, 3, 0.5)
         assert np.all(emb.spectrum >= 0)
         assert emb.coords.shape == (30, 3)
 
     def test_underflowing_diffusion_time_rejected(self):
         ds = make_dataset(ManifoldSpec("m1", 60, 400, 0), NoiseSpec("gaussian", 0.5, 1))
         lm = select_landmarks(ds.noisy, 0.5, 0)
-        h = auto_bandwidth(ds.noisy, lm)
+        D = pairwise_sq_dist(ds.noisy, ds.noisy[:, lm])
+        h = auto_bandwidth(D)
         for t in (1e3, 1e6):
             with pytest.raises(ValueError, match="underflows"):
-                roseland_embed(ds.noisy, lm, h, 10, t)
+                roseland_embed(D, h, 10, t)
         # still tiny, but the distances differ
-        emb = roseland_embed(ds.noisy, lm, h, 10, 50)
+        emb = roseland_embed(D, h, 10, 50)
         assert 0 < np.abs(emb.coords).max() < 1e-20
         assert len({tuple(row) for row in emb.coords}) == 400
 
     def test_spectrum_in_unit_interval(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((5, 60))
-        lm = select_landmarks(X, 0.5, 1)
-        emb = roseland_embed(X, lm, auto_bandwidth(X, lm), 4, 1.0)
+        D = pairwise_sq_dist(X, X[:, select_landmarks(X, 0.5, 1)])
+        emb = roseland_embed(D, auto_bandwidth(D), 4, 1.0)
         assert np.all(emb.spectrum >= -1e-8)
         assert np.all(emb.spectrum <= 1.0 + 1e-8)
 
@@ -241,8 +256,8 @@ class TestDiffusionDistance:
 
     def test_local_spearman_against_geodesic_on_m1(self):
         X, theta = sample_m1(60, 2000, 3)
-        lm = select_landmarks(X, 0.5, 0)
-        emb = roseland_embed(X, lm, auto_bandwidth(X, lm), 10, 0.25)
+        D = pairwise_sq_dist(X, X[:, select_landmarks(X, 0.5, 0)])
+        emb = roseland_embed(D, auto_bandwidth(D), 10, 0.25)
         rng = np.random.default_rng(12)
         dd, geo = [], []
         while len(dd) < 4000:
@@ -260,9 +275,9 @@ class TestDiffusionDistance:
         # 2001.00801): on clean M1 its diffusion distances should order
         # point pairs as the full-graph map's do, at the same bandwidth
         X, _ = sample_m1(60, 1000, seed)
-        lm = select_landmarks(X, 0.5, seed)
-        h = auto_bandwidth(X, lm)
-        ros = roseland_embed(X, lm, h, 10, 1.0).coords
+        D = pairwise_sq_dist(X, X[:, select_landmarks(X, 0.5, seed)])
+        h = auto_bandwidth(D)
+        ros = roseland_embed(D, h, 10, 1.0).coords
         dm = dm_embed(X, h, 10, 1).coords
         rng = np.random.default_rng(seed)
         i, j = rng.integers(0, 1000, (2, 4000))

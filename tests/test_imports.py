@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, and so is
-every private name it defines at module level. Every public module-level
+every private name it defines at module level, outside the definition
+itself (a function that only calls itself is dead). Every public module-level
 function or class is exported by __init__.py or read somewhere in the
 package, bar the named exceptions in KEPT_UNREAD. Every field of a package
 dataclass is read somewhere in the package, its tests or perfbench.
@@ -9,6 +10,7 @@ API.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -43,11 +45,17 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def loaded_names(tree):
+    return Counter(node.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+
+
 def unread_private_names(source):
     """Module-level _names (functions, classes, assignments) that the module
-    never loads."""
+    never loads outside their own definition."""
     tree = ast.parse(source)
-    defined = {}
+    loaded = loaded_names(tree)
+    unread = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -57,19 +65,20 @@ def unread_private_names(source):
                      if isinstance(n, ast.Name)]
         else:
             continue
+        own = loaded_names(node)
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                defined[name] = node.lineno
-    loaded = {node.id for node in ast.walk(tree)
-              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return sorted((line, name) for name, line in defined.items()
-                  if name not in loaded)
+            if (name.startswith("_") and not name.startswith("__")
+                    and loaded[name] == own[name]):
+                unread[name] = node.lineno
+    return sorted((line, name) for name, line in unread.items())
 
 
 def test_finds_an_unread_private_name():
     source = ("_A = 1\n_B, c = 2, 3\ndef _f():\n    return _A\n"
-              "class _C:\n    pass\n__all__ = []\n")
-    assert unread_private_names(source) == [(2, "_B"), (3, "_f"), (5, "_C")]
+              "class _C:\n    pass\n__all__ = []\n"
+              "def _g(k):\n    return _g(k - 1) if k else _h()\ndef _h():\n    pass\n")
+    assert unread_private_names(source) == [
+        (2, "_B"), (3, "_f"), (5, "_C"), (8, "_g")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

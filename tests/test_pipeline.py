@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +116,22 @@ class TestGlobalMetric:
         m = global_metric(X, PipelineConfig(K=20, k_local=5))
         for i, j in [(0, 5), (3, 100), (7, 7)]:
             assert metric_distance(m, i, j) == metric_distance(m, j, i) >= 0.0
+
+    def test_roseland_forms_the_landmark_distances_once(self, monkeypatch):
+        shapes = []
+
+        def counted(A, B):
+            shapes.append((np.shape(A)[1], np.shape(B)[1]))
+            return pairwise_sq_dist(A, B)
+
+        # every module of the package that binds the name
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "rosdos"
+                    and vars(module).get("pairwise_sq_dist") is pairwise_sq_dist):
+                monkeypatch.setattr(module, "pairwise_sq_dist", counted)
+        X = np.random.default_rng(3).standard_normal((10, 400))
+        global_metric(X, PipelineConfig())
+        assert shapes == [(400, 20)]
 
     def test_global_shrink_noiseless_rank2(self):
         rng = np.random.default_rng(1)

@@ -484,6 +484,12 @@ class TestFidelity:
         assert excess[1000] < self.BOUND
         assert excess[2000] < 0.5 * excess[500]
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the rank rule keeps a noise-only fourth component at n = 500, "
+        "seed 3 (excess 7.0 %); README names this limit"))
+    def test_small_n_noise_component(self):
+        assert oracle_excess(500, 3) < 0.01
+
     def test_raw_singular_values_fail_the_oracle_bound(self):
         raw = np.median([oracle_excess(1000, seed, raw=True) for seed in self.SEEDS])
         assert raw > self.BOUND
