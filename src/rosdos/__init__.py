@@ -2,12 +2,11 @@
 optimal singular-value shrinkage under separable-covariance noise."""
 
 from .diffusion import (
-    EmbeddingResult,
     auto_bandwidth,
     roseland_embed,
     select_landmarks,
 )
-from .evaluation import ExperimentReport, baseline_tsvd, nrmse, summarize
+from .evaluation import baseline_tsvd, nrmse, summarize
 from .numerics import (
     entrywise_median,
     pairwise_sq_dist,

@@ -13,8 +13,9 @@ import numpy as np
 
 from . import storage
 from .evaluation import baseline_tsvd, summarize
-from .pipeline import MODES, PipelineConfig, rosdos
-from .shrinkage import eoptshrink
+from .numerics import is_real
+from .pipeline import MODE_ROSELAND, MODES, PipelineConfig, rosdos
+from .shrinkage import check_size, eoptshrink
 from .synth import ManifoldSpec, NoiseSpec, check_specs, make_dataset
 
 _BASELINES = ("raw", "tsvd", "global-shrink")
@@ -123,16 +124,14 @@ def cmd_evaluate(args):
             )
         noise -= clean  # in place: one n-column matrix fewer
     report = summarize(clean, denoised, noise=noise)
-    storage.save_json(args.out, report.to_dict())
-    print(f"nrmse_median: {report.nrmse_median:.6g}")
+    storage.save_json(args.out, report)
+    print(f"nrmse_median: {report['nrmse_median']:.6g}")
     return EXIT_OK
 
 
-def _run_cell(p, n, manifold, noise, alpha, cfg, baselines, seed, out):
-    mspec = ManifoldSpec(kind=manifold, p=p, n=n, seed=seed)
-    nspec = NoiseSpec(kind=noise, alpha=alpha, seed=seed + 1)
+def _run_cell(mspec, nspec, cfg, baselines, out):
     ds = make_dataset(mspec, nspec)
-    cfg = dataclasses.replace(cfg, seed=seed)
+    cfg = dataclasses.replace(cfg, seed=mspec.seed)
 
     os.makedirs(out, exist_ok=True)
     rows = []
@@ -174,9 +173,9 @@ def _run_cell(p, n, manifold, noise, alpha, cfg, baselines, seed, out):
             timing=secs,
             config={"method": method, **cfg.to_dict()},
         )
-        storage.save_json(os.path.join(out, f"report_{method}.json"), report.to_dict())
-        rows.append((manifold, noise, alpha, method,
-                     *(getattr(report, name) for name in _REPORTED)))
+        storage.save_json(os.path.join(out, f"report_{method}.json"), report)
+        rows.append((mspec.kind, nspec.kind, nspec.alpha, method,
+                     *(report[name] for name in _REPORTED)))
     return rows
 
 
@@ -200,37 +199,38 @@ def cmd_experiment(args):
         config["manifolds"], config["noises"], config["alphas"]))
     if not grid:
         raise ValueError("the experiment grid has no cells")
-    for manifold, noise, alpha in grid:
-        check_specs(ManifoldSpec(manifold, p, n, 0), NoiseSpec(noise, alpha, 0))
-    cells = [(f"{m}-{noise}-{alpha:.6g}", m, noise, alpha) for m, noise, alpha in grid]
-    names = [cell for cell, *_ in cells]
-    clashes = sorted({cell for cell in names if names.count(cell) > 1})
-    if clashes:
-        # each cell writes to a directory and takes a seed named after it
-        raise ValueError(f"experiment cells share a name: {', '.join(clashes)}")
     unknown = [name for name in baselines if name not in _BASELINES]
     if unknown:
         raise ValueError(
             f"unknown baselines {unknown}; choose from {list(_BASELINES)}"
         )
     # cfg carries the master seed, so validate checks it; each cell then
-    # runs at a seed derived from it
+    # runs at a seed derived from the master seed and the cell's name
     cfg = _pipeline_config(config["pipeline"], n, seed=config["seed"])
+    cells = {}
+    for manifold, noise, alpha in grid:
+        if not is_real(alpha):  # the cell's name formats it
+            raise ValueError(f"alpha must be a real number, got {alpha!r}")
+        cell = f"{manifold}-{noise}-{alpha:.6g}"
+        if cell in cells:
+            # each cell writes to a directory and takes a seed named after it
+            raise ValueError(f"experiment cells share a name: {cell}")
+        seed = _cell_seed(cfg.seed, cell)
+        cells[cell] = (ManifoldSpec(manifold, p, n, seed),
+                       NoiseSpec(noise, alpha, seed + 1))
+        check_specs(*cells[cell])
+    # tsvd, global-shrink and the non-roseland modes shrink the whole matrix
+    if cfg.global_mode != MODE_ROSELAND or {"tsvd", "global-shrink"} & set(baselines):
+        check_size(p, n, cfg.k_imp)
     out = args.out
     os.makedirs(out, exist_ok=True)
 
     rows = []
     failures = []
-    for cell, manifold, noise, alpha in cells:
-        cell_dir = os.path.join(out, cell)
-        seed = _cell_seed(cfg.seed, cell)
+    for cell, (mspec, nspec) in cells.items():
         try:
-            rows.extend(
-                _run_cell(
-                    p, n, manifold, noise, alpha,
-                    cfg, baselines, seed, cell_dir,
-                )
-            )
+            rows.extend(_run_cell(mspec, nspec, cfg, baselines,
+                                  os.path.join(out, cell)))
             print(f"cell {cell}: ok")
         except Exception as exc:  # a failing cell must not kill the run
             failures.append({"cell": cell, "error": str(exc)})

@@ -5,18 +5,10 @@ never over all sample pairs, and the spectrum is read off the SVD of the
 normalized sample-to-landmark affinity matrix.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import (
     as_matrix, is_integer, is_positive_finite, is_real, round_half_up)
-
-
-@dataclass
-class EmbeddingResult:
-    coords: np.ndarray          # n x q' embedded points
-    spectrum: np.ndarray        # spectral factors used by the map
 
 
 def auto_bandwidth(sq_dists):
@@ -62,6 +54,8 @@ def roseland_embed(sq_dists, h, q_prime, t):
     """Landmark diffusion embedding from the SVD of the normalized affinity
     exp(-D/h), D = sq_dists being the n x m sample-to-landmark squared
     distances; a negative entry, whose kernel value could overflow, raises.
+    Returns (coords, spectrum): the n x q' embedded points and the q'
+    spectral factors s_i^(2t) that scale their columns.
 
     A landmark's affinity to itself is kept, not zeroed. Singular values are
     nonnegative, so any real diffusion time t > 0 is valid, up to the t at
@@ -98,4 +92,4 @@ def roseland_embed(sq_dists, h, q_prime, t):
             f"{s[1]:.6g}^(2t) underflows"
         )
     coords = U[:, 1 : q_prime + 1] * inv_sqrt[:, None] * spectral[None, :]
-    return EmbeddingResult(coords=coords, spectrum=spectral)
+    return coords, spectral

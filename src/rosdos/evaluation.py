@@ -1,8 +1,5 @@
 """Per-point error metrics, the TSVD baseline, and experiment reports."""
 
-import copy
-from dataclasses import dataclass, field, fields
-
 import numpy as np
 
 from .numerics import (
@@ -97,23 +94,9 @@ def baseline_tsvd(X, r):
     return U @ (U.T @ X)
 
 
-@dataclass
-class ExperimentReport:
-    nrmse: list
-    nrmse_median: float
-    nrmse_mean: float
-    noise_ratio_median: float | None
-    msnr_db: float | None
-    wallclock_seconds: float
-    config_echo: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        # one level of copy; asdict would deep-copy every element of nrmse
-        return {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
-
-
 def summarize(S, S_tilde, noise=None, timing=0.0, config=None):
-    """Aggregate per-point NRMSE and noise statistics into a report."""
+    """Aggregate per-point NRMSE and noise statistics into a report dict, the
+    record saved as JSON; its noise keys are None without noise."""
     errors = nrmse(S, S_tilde)
     ratio = None
     snr = None
@@ -124,12 +107,12 @@ def summarize(S, S_tilde, noise=None, timing=0.0, config=None):
             raise ValueError("noise shape must match clean shape")
         ratio = float(np.median(_norm_ratios(noise, S)))
         snr = msnr(S, noise)
-    return ExperimentReport(
-        nrmse=[float(e) for e in errors],
-        nrmse_median=float(np.median(errors)),
-        nrmse_mean=float(np.mean(errors)),
-        noise_ratio_median=ratio,
-        msnr_db=snr,
-        wallclock_seconds=float(timing),
-        config_echo=dict(config) if config else {},
-    )
+    return {
+        "nrmse": [float(e) for e in errors],
+        "nrmse_median": float(np.median(errors)),
+        "nrmse_mean": float(np.mean(errors)),
+        "noise_ratio_median": ratio,
+        "msnr_db": snr,
+        "wallclock_seconds": float(timing),
+        "config_echo": dict(config) if config else {},
+    }

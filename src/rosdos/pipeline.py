@@ -36,6 +36,8 @@ class PipelineConfig:
     seed: int = 0
 
     def validate(self, n):
+        if not is_integer(n):
+            raise ValueError(f"n must be an integer, got {n!r}")
         if self.global_mode not in MODES:
             raise ValueError(
                 f"global_mode must be one of {MODES}, got {self.global_mode!r}"
@@ -133,8 +135,8 @@ def global_metric(X, cfg):
         D = pairwise_sq_dist(X, X[:, landmarks])
         h = cfg.h if cfg.h != "auto" else diffusion.auto_bandwidth(D)
         q = min(cfg.q_prime, min(n, landmarks.size) - 1)
-        emb = diffusion.roseland_embed(D, h, q, cfg.t)
-        return GlobalMetric(coords=emb.coords)
+        coords, _ = diffusion.roseland_embed(D, h, q, cfg.t)
+        return GlobalMetric(coords=coords)
     out = shrinkage.eoptshrink(X, k=cfg.k_imp)
     return GlobalMetric(coords=out.coords, shrink=out)
 

@@ -154,6 +154,20 @@ def _shrink_components(spectrum, r, k, k_used, beta):
     return notes, imputed, np.array(kept, dtype=int), np.array(shrunk)
 
 
+def check_size(p, n, k):
+    """Raise ShrinkageError unless a p x n matrix is large enough for
+    eoptshrink with imputation count k; return the bulk-edge estimator's
+    order-statistic step, round(max(p, n)^(1/4))."""
+    pw, nw = sorted((p, n))
+    m_edge = round_half_up(nw ** 0.25)
+    if pw <= 2 * max(k, m_edge) + 1:
+        raise ShrinkageError(
+            f"matrix too small: min(p,n)={pw} must exceed "
+            f"{2 * max(k, m_edge) + 1} for k={k}, n={nw}"
+        )
+    return m_edge
+
+
 def eoptshrink(X, k=10):
     """Denoise X by nonlinear shrinkage of its singular values.
 
@@ -177,13 +191,7 @@ def eoptshrink(X, k=10):
     if not (is_integer(k) and k >= 1):
         raise ShrinkageError(f"k must be an integer >= 1, got {k!r}")
     pw, nw = sorted(X.shape)
-
-    m_edge = round_half_up(nw ** 0.25)
-    if pw <= 2 * max(k, m_edge) + 1:
-        raise ShrinkageError(
-            f"matrix too small: min(p,n)={pw} must exceed "
-            f"{2 * max(k, m_edge) + 1} for k={k}, n={nw}"
-        )
+    m_edge = check_size(pw, nw, k)
 
     Xw, transposed, gram, spectrum = short_side_spectrum(X)
     if not np.all(np.isfinite(spectrum)):

@@ -35,10 +35,18 @@ class SyntheticDataset:
     msnr_db: float
 
 
+# each manifold's least ambient dimension p, read by its sampler and check_specs
+_P_MIN = {"m1": 5, "m3": 4}
+
+
+def _check_p(kind, p):
+    if p < _P_MIN[kind]:
+        raise ValueError(f"p must be >= {_P_MIN[kind]}, got {p}")
+
+
 def sample_m1(p, n, seed):
     """Circle embedded via a decaying Fourier frame in the first 2*ceil(2p/5) axes."""
-    if p < 5:
-        raise ValueError(f"p must be >= 5, got {p}")
+    _check_p("m1", p)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     J = math.ceil(2 * p / 5)
@@ -51,8 +59,7 @@ def sample_m1(p, n, seed):
 
 def sample_klein(p, n, seed):
     """Klein bottle embedded in the first four axes."""
-    if p < 4:
-        raise ValueError(f"p must be >= 4, got {p}")
+    _check_p("m3", p)
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, 2.0 * np.pi, size=n)
     s = rng.uniform(0.0, 2.0 * np.pi, size=n)
@@ -217,14 +224,15 @@ def msnr(S, Xi):
 
 def check_specs(mspec, nspec):
     """Raise ValueError unless the specs name a known manifold and noise, with
-    integer p, an integer n >= 2 (msnr's minimum), integer seeds >= 0 and a
-    finite alpha >= 0. The samplers check their own minimums for p."""
-    if mspec.kind not in ("m1", "m3"):
+    an integer p at or above the manifold's minimum, an integer n >= 2
+    (msnr's minimum), integer seeds >= 0 and a finite alpha >= 0."""
+    if mspec.kind not in tuple(_P_MIN):  # a tuple: a JSON kind may be unhashable
         raise ValueError(f"unknown manifold kind {mspec.kind!r}")
     for name in ("p", "n"):
         value = getattr(mspec, name)
         if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    _check_p(mspec.kind, mspec.p)
     if mspec.n < 2:
         raise ValueError(
             f"n must be >= 2 (mSNR needs at least two samples), got {mspec.n}")

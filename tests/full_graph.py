@@ -9,7 +9,6 @@ or with another call on the same kernel.
 
 import numpy as np
 
-from rosdos.diffusion import EmbeddingResult
 from rosdos.numerics import pairwise_sq_dist
 
 
@@ -40,7 +39,8 @@ def affinity_complete(X, h):
 
 
 def dm_embed(X, h, q_prime, t):
-    """Diffusion-map embedding from the random-walk transition matrix.
+    """Diffusion-map embedding from the random-walk transition matrix, as
+    roseland_embed's (coords, spectrum) pair.
 
     The kernel is density-normalized (divided by the outer product of raw
     degrees) before the random-walk normalization; the coords are the
@@ -58,5 +58,4 @@ def dm_embed(X, h, q_prime, t):
     u = evecs[:, order] * inv_sqrt[:, None]
     u /= np.linalg.norm(u, axis=0, keepdims=True)
     lam = evals[order][1 : q_prime + 1]
-    return EmbeddingResult(coords=u[:, 1 : q_prime + 1] * lam[None, :] ** t,
-                           spectrum=lam)
+    return u[:, 1 : q_prime + 1] * lam[None, :] ** t, lam

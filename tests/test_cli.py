@@ -8,7 +8,7 @@ import pytest
 from rosdos import cli, storage
 from rosdos.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from rosdos.evaluation import baseline_tsvd, summarize
-from rosdos.pipeline import Diagnostics, PipelineConfig
+from rosdos.pipeline import Diagnostics, PipelineConfig, rosdos
 from rosdos.synth import ManifoldSpec, NoiseSpec, make_dataset
 
 
@@ -227,7 +227,16 @@ class TestEvaluate:
         noisy = storage.load_matrix(dataset / "noisy.csv")
         rep = summarize(clean, noisy, noise=noisy - clean)
         disk = storage.load_json(out)
-        assert np.allclose(disk["nrmse"], rep.nrmse, atol=1e-12)
+        assert np.allclose(disk["nrmse"], rep["nrmse"], atol=1e-12)
+
+    def test_metrics_json_is_the_summarize_dict(self, tmp_path, dataset):
+        out = tmp_path / "m.json"
+        run(["evaluate", "--clean", dataset / "clean.csv",
+             "--denoised", dataset / "noisy.csv",
+             "--noisy", dataset / "noisy.csv", "--out", out])
+        clean = storage.load_matrix(dataset / "clean.csv")
+        noisy = storage.load_matrix(dataset / "noisy.csv")
+        assert storage.load_json(out) == summarize(clean, noisy, noise=noisy - clean)
 
     def test_shape_mismatch_exit_two(self, tmp_path, dataset):
         small = tmp_path / "small.csv"
@@ -332,6 +341,11 @@ class TestExperiment:
         ({"pipeline": []}, "pipeline must be an object, got []"),
         ({"pipeline": {"K": 30, "k_local": 5, "gamma": 0.05}},
          "landmark count round(400^0.05) = 1 < 2"),
+        ({"p": 4}, "p must be >= 5, got 4"),
+        ({"p": 4, "manifolds": ["m1", "m3"]}, "p must be >= 5, got 4"),
+        ({"p": 12, "pipeline": {"K": 30, "k_local": 5, "global_mode": "shrink-only"}},
+         "matrix too small: min(p,n)=12 must exceed 21"),
+        ({"manifolds": [["m1"]]}, "unknown manifold kind ['m1']"),
     ])
     def test_bad_config_exit_two_before_any_cell(
         self, tmp_path, monkeypatch, capsys, change, message
@@ -359,7 +373,8 @@ class TestExperiment:
 
     def test_baselines_share_one_shrinkage(self, tmp_path, monkeypatch):
         # tsvd and global-shrink reuse one whole-matrix shrinkage per cell, and
-        # their reports equal ones computed outside the CLI
+        # every report is summarize's dict computed outside the CLI, less the
+        # wall-clock time
         out = tmp_path / "grid"
         cfg = {
             "p": 60, "n": 400,
@@ -384,18 +399,21 @@ class TestExperiment:
             seed = cli._cell_seed(cfg["seed"], f"m1-{noise}-0.5")
             ds = make_dataset(ManifoldSpec("m1", 60, 400, seed),
                               NoiseSpec(noise, 0.5, seed + 1))
-            shrink = real(ds.noisy, k=PipelineConfig().k_imp)
+            pcfg = PipelineConfig(**cfg["pipeline"], seed=seed)
+            shrink = real(ds.noisy, k=pcfg.k_imp)
             expected = {
+                "rosdos": rosdos(ds.noisy, pcfg)[0],
+                "raw": ds.noisy,
                 "tsvd": baseline_tsvd(ds.noisy, max(shrink.effective_rank, 1)),
                 "global-shrink": shrink.denoised,
             }
             for method, est in expected.items():
                 report = storage.load_json(
                     out / f"m1-{noise}-0.5" / f"report_{method}.json")
-                want = summarize(ds.clean, est, noise=ds.noise).to_dict()
-                for key in ("nrmse", "nrmse_median", "nrmse_mean",
-                            "noise_ratio_median", "msnr_db"):
-                    assert report[key] == want[key], (noise, method, key)
+                want = summarize(ds.clean, est, noise=ds.noise,
+                                 config={"method": method, **pcfg.to_dict()})
+                del report["wallclock_seconds"], want["wallclock_seconds"]
+                assert report == want, (noise, method)
 
     def test_cell_diagnostics_written(self, tmp_path):
         # each cell records its run's notes; at master seed 4 the baseline
@@ -424,11 +442,19 @@ class TestExperiment:
         diag = storage.load_json(small / "m1-gaussian-1" / "diagnostics.json")
         assert "baseline_warnings" not in diag and diag["warnings"] == []
 
-    def test_failing_cell_recorded(self, tmp_path):
-        # a valid config whose m1 cell fails in its sampler (p >= 5)
+    def test_failing_cell_recorded(self, tmp_path, monkeypatch):
+        # a cell that fails at run time is recorded, and the others still run
+        real = cli.make_dataset
+
+        def fail_m1(mspec, nspec):
+            if mspec.kind == "m1":
+                raise ValueError("m1 sampler failed")
+            return real(mspec, nspec)
+
+        monkeypatch.setattr(cli, "make_dataset", fail_m1)
         out = tmp_path / "grid"
         cfg = {
-            "p": 4, "n": 400,
+            "p": 60, "n": 400,
             "manifolds": ["m1", "m3"], "noises": ["gaussian"], "alphas": [1.0],
             "pipeline": {"K": 30, "k_local": 5},
             "baselines": ["raw"], "seed": 0,
@@ -438,8 +464,26 @@ class TestExperiment:
         assert run(["experiment", "--config", path, "--out", out]) == EXIT_OK
         failures = storage.load_json(out / "failures.json")
         assert failures == [
-            {"cell": "m1-gaussian-1", "error": "p must be >= 5, got 4"}
+            {"cell": "m1-gaussian-1", "error": "m1 sampler failed"}
         ]
+        assert os.path.exists(out / "m3-gaussian-1" / "report_raw.json")
+
+    def test_small_p_roseland_raw_only_still_runs(self, tmp_path):
+        # no whole-matrix shrinkage, so p=12 passes the up-front checks; every
+        # local patch is too small to shrink and falls back
+        out = tmp_path / "grid"
+        cfg = {
+            "p": 12, "n": 400,
+            "manifolds": ["m3"], "noises": ["gaussian"], "alphas": [1.0],
+            "pipeline": {"K": 30, "k_local": 5},
+            "baselines": ["raw"], "seed": 0,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["experiment", "--config", path, "--out", out]) == EXIT_OK
+        assert not os.path.exists(out / "failures.json")
+        diag = storage.load_json(out / "m3-gaussian-1" / "diagnostics.json")
+        assert diag["fallbacks"] == 400
 
 
 class TestStorage:
@@ -492,8 +536,7 @@ class TestStorage:
         S = rng.standard_normal((20, 2000))
         noise = 0.3 * rng.standard_normal(S.shape)
         return summarize(S, S + noise, noise, timing=1.25,
-                         config={"method": "raw", **PipelineConfig().to_dict()}
-                         ).to_dict()
+                         config={"method": "raw", **PipelineConfig().to_dict()})
 
     @staticmethod
     def diagnostics_record():

@@ -48,13 +48,13 @@ class TestDmEmbed:
     def test_two_point_hand_computation(self):
         X = np.array([[0.0, 1.0]])
         for t in (1, 2, 3):
-            emb = dm_embed(X, 1.0, 1, t)
-            assert emb.spectrum[0] == pytest.approx(-1.0)
+            coords, spectrum = dm_embed(X, 1.0, 1, t)
+            assert spectrum[0] == pytest.approx(-1.0)
             v = 1.0 / np.sqrt(2.0)
             expect = (-1.0) ** t * np.array([v, -v])
             # sign convention may flip the whole coordinate
-            assert np.allclose(emb.coords[:, 0], expect) or np.allclose(
-                emb.coords[:, 0], -expect
+            assert np.allclose(coords[:, 0], expect) or np.allclose(
+                coords[:, 0], -expect
             )
 
     def test_transition_rows_stochastic(self):
@@ -72,8 +72,8 @@ class TestDmEmbed:
         X = np.zeros((3, 500))
         X[0] = np.cos(theta)
         X[1] = np.sin(theta)
-        emb = dm_embed(X, full_graph_bandwidth(X), 2, 1)
-        phi = np.arctan2(emb.coords[:, 1], emb.coords[:, 0])
+        coords, _ = dm_embed(X, full_graph_bandwidth(X), 2, 1)
+        phi = np.arctan2(coords[:, 1], coords[:, 0])
         ra = 2.0 * np.pi * np.argsort(np.argsort(theta)) / 500
         rb = 2.0 * np.pi * np.argsort(np.argsort(phi)) / 500
         # circular rank correlation, invariant to rotation and reflection
@@ -86,19 +86,19 @@ class TestDmEmbed:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((4, 60))
         h = full_graph_bandwidth(X)
-        e1 = dm_embed(X, h, 5, 1)
-        e2 = dm_embed(X, h, 5, 2)
+        c1, spectrum1 = dm_embed(X, h, 5, 1)
+        c2, _ = dm_embed(X, h, 5, 2)
         assert np.allclose(
-            e2.coords, e1.coords * e1.spectrum[None, :], atol=1e-10
+            c2, c1 * spectrum1[None, :], atol=1e-10
         )
 
     def test_permutation_relabels_rows(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((3, 50))
         perm = rng.permutation(50)
-        e1 = dm_embed(X, 2.0, 4, 1)
-        e2 = dm_embed(X[:, perm], 2.0, 4, 1)
-        assert np.allclose(np.abs(e2.coords), np.abs(e1.coords[perm]), atol=1e-8)
+        c1, _ = dm_embed(X, 2.0, 4, 1)
+        c2, _ = dm_embed(X[:, perm], 2.0, 4, 1)
+        assert np.allclose(np.abs(c2), np.abs(c1[perm]), atol=1e-8)
 
 
 class TestAutoBandwidth:
@@ -146,8 +146,8 @@ class TestSelectLandmarks:
 class TestRoselandEmbed:
     def test_degenerate_identical_cloud(self):
         X = np.ones((3, 8))
-        emb = roseland_embed(pairwise_sq_dist(X, X[:, :3]), 1.0, 1, 1.0)
-        assert np.allclose(emb.coords, 0.0, atol=1e-8)
+        coords, _ = roseland_embed(pairwise_sq_dist(X, X[:, :3]), 1.0, 1, 1.0)
+        assert np.allclose(coords, 0.0, atol=1e-8)
 
     def test_zero_kernel_row_rejected(self):
         # the last point's affinity to every landmark underflows to 0
@@ -177,7 +177,7 @@ class TestRoselandEmbed:
         rng = np.random.default_rng(7)
         X = rng.standard_normal((3, 40))
         h = full_graph_bandwidth(X)
-        emb = roseland_embed(pairwise_sq_dist(X, X), h, 5, 1.0)
+        coords, _ = roseland_embed(pairwise_sq_dist(X, X), h, 5, 1.0)
 
         Wb = np.exp(-((X[:, :, None] - X[:, None, :]) ** 2).sum(axis=0) / h)
         K = Wb @ Wb.T
@@ -187,7 +187,7 @@ class TestRoselandEmbed:
         order = np.argsort(evals)[::-1]
         evals, evecs = evals[order], evecs[:, order]
         ref = evecs[:, 1:6] / np.sqrt(deg)[:, None] * evals[1:6][None, :]
-        assert np.allclose(np.abs(emb.coords), np.abs(ref), atol=1e-8)
+        assert np.allclose(np.abs(coords), np.abs(ref), atol=1e-8)
 
     @pytest.mark.parametrize("h, t, message", [
         (np.nan, 1.0, "bandwidth h must be positive and finite, got nan"),
@@ -208,9 +208,9 @@ class TestRoselandEmbed:
     def test_fractional_time_allowed(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((3, 30))
-        emb = roseland_embed(pairwise_sq_dist(X, X[:, ::3]), 2.0, 3, 0.5)
-        assert np.all(emb.spectrum >= 0)
-        assert emb.coords.shape == (30, 3)
+        coords, spectrum = roseland_embed(pairwise_sq_dist(X, X[:, ::3]), 2.0, 3, 0.5)
+        assert np.all(spectrum >= 0)
+        assert coords.shape == (30, 3)
 
     def test_underflowing_diffusion_time_rejected(self):
         ds = make_dataset(ManifoldSpec("m1", 60, 400, 0), NoiseSpec("gaussian", 0.5, 1))
@@ -221,17 +221,17 @@ class TestRoselandEmbed:
             with pytest.raises(ValueError, match="underflows"):
                 roseland_embed(D, h, 10, t)
         # still tiny, but the distances differ
-        emb = roseland_embed(D, h, 10, 50)
-        assert 0 < np.abs(emb.coords).max() < 1e-20
-        assert len({tuple(row) for row in emb.coords}) == 400
+        coords, _ = roseland_embed(D, h, 10, 50)
+        assert 0 < np.abs(coords).max() < 1e-20
+        assert len({tuple(row) for row in coords}) == 400
 
     def test_spectrum_in_unit_interval(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((5, 60))
         D = pairwise_sq_dist(X, X[:, select_landmarks(X, 0.5, 1)])
-        emb = roseland_embed(D, auto_bandwidth(D), 4, 1.0)
-        assert np.all(emb.spectrum >= -1e-8)
-        assert np.all(emb.spectrum <= 1.0 + 1e-8)
+        _, spectrum = roseland_embed(D, auto_bandwidth(D), 4, 1.0)
+        assert np.all(spectrum >= -1e-8)
+        assert np.all(spectrum <= 1.0 + 1e-8)
 
 
 class TestDiffusionDistance:
@@ -239,7 +239,7 @@ class TestDiffusionDistance:
     def distances(self):
         rng = np.random.default_rng(10)
         X = rng.standard_normal((4, 50))
-        c = dm_embed(X, full_graph_bandwidth(X), 5, 1).coords
+        c, _ = dm_embed(X, full_graph_bandwidth(X), 5, 1)
         return np.linalg.norm(c[:, None] - c[None], axis=2)
 
     def test_identity_and_symmetry(self):
@@ -257,7 +257,7 @@ class TestDiffusionDistance:
     def test_local_spearman_against_geodesic_on_m1(self):
         X, theta = sample_m1(60, 2000, 3)
         D = pairwise_sq_dist(X, X[:, select_landmarks(X, 0.5, 0)])
-        emb = roseland_embed(D, auto_bandwidth(D), 10, 0.25)
+        coords, _ = roseland_embed(D, auto_bandwidth(D), 10, 0.25)
         rng = np.random.default_rng(12)
         dd, geo = [], []
         while len(dd) < 4000:
@@ -265,7 +265,7 @@ class TestDiffusionDistance:
             ang = abs(theta[i] - theta[j])
             ang = min(ang, 2.0 * np.pi - ang)
             if i != j and ang < np.pi / 4:
-                dd.append(np.linalg.norm(emb.coords[i] - emb.coords[j]))
+                dd.append(np.linalg.norm(coords[i] - coords[j]))
                 geo.append(ang)
         assert spearman(dd, geo) >= 0.95
 
@@ -277,8 +277,8 @@ class TestDiffusionDistance:
         X, _ = sample_m1(60, 1000, seed)
         D = pairwise_sq_dist(X, X[:, select_landmarks(X, 0.5, seed)])
         h = auto_bandwidth(D)
-        ros = roseland_embed(D, h, 10, 1.0).coords
-        dm = dm_embed(X, h, 10, 1).coords
+        ros, _ = roseland_embed(D, h, 10, 1.0)
+        dm, _ = dm_embed(X, h, 10, 1)
         rng = np.random.default_rng(seed)
         i, j = rng.integers(0, 1000, (2, 4000))
         i, j = i[i != j], j[i != j]

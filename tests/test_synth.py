@@ -467,6 +467,17 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match="must be an integer"):
             make_dataset(ManifoldSpec("m1", p, n, 0), NoiseSpec("gaussian", 1.0, 0))
 
+    @pytest.mark.parametrize("kind,sampler,p_min", [
+        ("m1", sample_m1, 5), ("m3", sample_klein, 4)])
+    def test_small_p_rejected_as_the_sampler_rejects_it(self, no_sampling, kind,
+                                                        sampler, p_min):
+        # sampler is the real function, bound before no_sampling patched synth
+        message = f"p must be >= {p_min}, got {p_min - 1}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sampler(p_min - 1, 30, 0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_dataset(ManifoldSpec(kind, p_min - 1, 30, 0), NoiseSpec("gaussian", 1.0, 1))
+
     @pytest.mark.parametrize("n", [1, 0, -5])
     @pytest.mark.parametrize("noise", ["gaussian", "separable"])
     def test_too_few_samples_rejected_before_sampling(self, no_sampling, n, noise):
