@@ -18,8 +18,7 @@ MODE_GLOBAL_SHRINK = "global-shrink"
 MODE_SHRINK_ONLY = "shrink-only"
 MODES = (MODE_ROSELAND, MODE_GLOBAL_SHRINK, MODE_SHRINK_ONLY)
 
-# temporary memory one block of neighbor distances, or of recovered points,
-# may use; it sets the points per block
+# temporary memory one block of neighbor distances may use; sets its rows
 _BLOCK_BYTES = 2 ** 21
 
 
@@ -154,76 +153,61 @@ def _local_distances(Xi, cfg):
         return d, -1, str(exc)
 
 
-def recover_point(X, patch, local_dists, k_local):
-    """Step 3: entrywise median of the k_local columns of X, among the
-    patch's, that are nearest in the local metric (ties by patch order).
+def recover_point(X, neighbors):
+    """Step 3: for each row of a b x k integer array, the entrywise median of
+    the k columns of X it lists; p x b, in X's layout.
 
-    A 1-D patch gives one point (a p-vector); a b x m block of patches, with
-    local_dists of the same shape, gives b points (p x b), one per row.
-    patch holds integers (not bools) in [0, X.shape[1]). Only the selected
+    The entries are integers (not bools) in [0, X.shape[1]). Only the listed
     columns are read, so X is not checked as a whole.
     """
     X = np.asarray(X)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    patch = np.asarray(patch)
-    d = np.asarray(local_dists, dtype=float)
-    if d.shape != patch.shape or patch.ndim not in (1, 2):
-        raise ValueError("local_dists must match the patch, one or two axes")
-    width = patch.shape[-1]
-    if not (is_integer(k_local) and 1 <= k_local <= width):
-        raise ValueError(
-            f"k_local must be an integer in [1, {width}], got {k_local!r}")
+    cols = np.ascontiguousarray(neighbors)  # every row of X gathers through it
     n = X.shape[1]
-    # numpy wraps a negative index and never reads an unselected one
-    if patch.dtype.kind not in "iu" or patch.min() < 0 or patch.max() >= n:
-        raise ValueError(f"patch must hold integer column indices in [0, {n})")
-    order = np.argsort(d, axis=-1, kind="stable")[..., :k_local]
-    sel = np.take_along_axis(patch, order, axis=-1)
-    return entrywise_median(X[:, sel])
+    # numpy wraps a negative index and never reads an unlisted one
+    if (cols.ndim != 2 or cols.shape[1] == 0 or cols.dtype.kind not in "iu"
+            or cols.min() < 0 or cols.max() >= n):
+        raise ValueError(
+            f"neighbors must be b x k (k >= 1) integer column indices in [0, {n})")
+    out = np.empty_like(X, dtype=float, shape=(X.shape[0], cols.shape[0]))
+    for j, row in enumerate(X):  # one row at a time: a b x k gather each
+        out[j] = entrywise_median(row[cols])
+    return out
 
 
 def rosdos(X, cfg):
     """Run the full denoiser and return (denoised matrix, diagnostics)."""
     X = as_matrix(X, "X")
-    p, n = X.shape
+    n = X.shape[1]
     timings = {}
 
     t0 = time.perf_counter()
     metric = global_metric(X, cfg)
     timings["global_metric"] = time.perf_counter() - t0
 
-    # shrink-only recovers each point from itself and its k_local - 1
-    # nearest neighbors in the global metric, which come first in the patch
+    # each patch is its point, then its neighbors in the global metric,
+    # nearest first; shrink-only takes the first k_local entries as they are
     skip_local = cfg.global_mode == MODE_SHRINK_ONLY
     t0 = time.perf_counter()
     hoods = metric.neighborhoods(cfg.k_local if skip_local else cfg.K)
     timings["neighborhoods"] = time.perf_counter() - t0
 
-    # sample-major copy: each gathered column is one contiguous read
-    Xf = np.asfortranarray(X)
-    width = hoods.shape[1] + 1
-    # per point: the gathered and the sorted k_local columns, and the patch
-    # row, its distances and their argsort
-    per_point = 8 * (2 * p * cfg.k_local + 3 * width)
-    block = max(1, _BLOCK_BYTES // per_point)
+    patches = np.column_stack((np.arange(n), hoods))
     local_ranks = []
     fallback_reasons = Counter()
-    recovered = np.empty_like(X)
     t0 = time.perf_counter()
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        patches = np.empty((stop - start, width), dtype=int)
-        patches[:, 0] = np.arange(start, stop)
-        patches[:, 1:] = hoods[start:stop]
-        dists = np.zeros(patches.shape)  # shrink-only: patch order
-        if not skip_local:
-            for row, patch in enumerate(patches):
-                dists[row], rank, reason = _local_distances(Xf[:, patch], cfg)
-                local_ranks.append(rank)
-                if reason is not None:
-                    fallback_reasons[reason] += 1
-        recovered[:, start:stop] = recover_point(Xf, patches, dists, cfg.k_local)
+    if not skip_local:  # step 2: reorder each patch by its local metric
+        Xf = np.asfortranarray(X)  # sample-major: each column one read
+        for patch in patches:
+            d, rank, reason = _local_distances(Xf[:, patch], cfg)
+            patch[:] = patch[np.argsort(d, kind="stable")]  # ties: patch order
+            local_ranks.append(rank)
+            if reason is not None:
+                fallback_reasons[reason] += 1
+    timings["local"] = 0.0 if skip_local else time.perf_counter() - t0
+    t0 = time.perf_counter()
+    recovered = recover_point(X, patches[:, :cfg.k_local])
     timings["recovery"] = time.perf_counter() - t0
 
     if metric.shrink is None:  # roseland: the coordinates are the embedding

@@ -225,7 +225,7 @@ def msnr(S, Xi):
 def check_specs(mspec, nspec):
     """Raise ValueError unless the specs name a known manifold and noise, with
     an integer p at or above the manifold's minimum, an integer n >= 2
-    (msnr's minimum), integer seeds >= 0 and a finite alpha >= 0."""
+    (msnr's minimum), integer seeds >= 0 and an alpha >= 0 with p ** alpha finite."""
     if mspec.kind not in tuple(_P_MIN):  # a tuple: a JSON kind may be unhashable
         raise ValueError(f"unknown manifold kind {mspec.kind!r}")
     for name in ("p", "n"):
@@ -245,6 +245,10 @@ def check_specs(mspec, nspec):
     alpha = nspec.alpha
     if not is_real(alpha):
         raise ValueError(f"alpha must be a real number, got {alpha!r}")
+    try:  # make_dataset divides the noise by p ** alpha
+        math.pow(mspec.p, alpha)
+    except OverflowError:
+        raise ValueError(f"p ** alpha overflows: p={mspec.p}, alpha={alpha}") from None
     if not math.isfinite(alpha) or alpha < 0:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
 

@@ -80,7 +80,8 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+    # 20 ** 300 overflows a float
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "300"])
     def test_bad_alpha_exit_two(self, tmp_path, capsys, alpha):
         assert run(
             ["simulate", "--manifold", "m1", "--p", 20, "--n", 30,
@@ -346,6 +347,7 @@ class TestExperiment:
         ({"p": 12, "pipeline": {"K": 30, "k_local": 5, "global_mode": "shrink-only"}},
          "matrix too small: min(p,n)=12 must exceed 21"),
         ({"manifolds": [["m1"]]}, "unknown manifold kind ['m1']"),
+        ({"alphas": [1.0, 200]}, "p ** alpha overflows: p=60, alpha=200"),
     ])
     def test_bad_config_exit_two_before_any_cell(
         self, tmp_path, monkeypatch, capsys, change, message

@@ -3,7 +3,8 @@ every private name it defines at module level, outside the definition
 itself (a function that only calls itself is dead). Every public module-level
 function or class is exported by __init__.py or read somewhere in the
 package, bar the named exceptions in KEPT_UNREAD. Every field of a package
-dataclass is read somewhere in the package, its tests or perfbench.
+dataclass is read somewhere in the package, its tests or perfbench. Every
+name a package function stores, bar _names, is loaded in that function.
 
 __init__.py is skipped by the first two checks: its imports are the public
 API.
@@ -84,6 +85,38 @@ def test_finds_an_unread_private_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def unused_locals(source):
+    """(line, name) of each name a function stores and never loads, in its
+    body or in a function nested in it. _names, and names declared global or
+    nonlocal, are skipped."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(func))
+        loaded = {node.id for node in nodes
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        shared = {name for node in nodes if isinstance(node, (ast.Global, ast.Nonlocal))
+                  for name in node.names}
+        found |= {(node.lineno, node.id) for node in nodes
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                  and not node.id.startswith("_") and node.id not in loaded | shared}
+    return sorted(found)
+
+
+def test_finds_an_unused_local():
+    source = ("x = 1\ndef f(a):\n    p, n = a\n    _, m = a\n    for i in n:\n"
+              "        pass\n    def g():\n        global G\n        G = m\n"
+              "    return g\n")
+    assert unused_locals(source) == [(3, "p"), (5, "i")]
+
+
+# tests may leave a name unused on purpose, so only the package is checked
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text()) == []
 
 
 # public names no module reads and __init__.py does not export, with the

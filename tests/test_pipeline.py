@@ -264,86 +264,71 @@ class TestLocalDenoise:
 
 class TestRecoverPoint:
     def test_k_one_returns_self(self):
-        rng = np.random.default_rng(4)
-        Xi = rng.standard_normal((6, 10))
-        d = np.concatenate([[0.0], rng.uniform(0.1, 1.0, 9)])
-        assert np.array_equal(recover_point(Xi, np.arange(Xi.shape[1]), d, 1), Xi[:, 0])
+        X = np.random.default_rng(4).standard_normal((6, 10))
+        assert np.array_equal(recover_point(X, np.arange(10)[:, None]), X)
+        assert np.array_equal(recover_point(X, [[3], [0], [3]]), X[:, [3, 0, 3]])
 
     def test_median_example(self):
-        Xi = np.array([[1.0, 2.0, 100.0]])
-        for k in (3, np.int64(3)):
-            assert recover_point(Xi, np.arange(Xi.shape[1]), [0.0, 0.1, 0.2], k)[0] == 2.0
-
-    def test_tie_break_lowest_index(self):
-        Xi = np.array([[5.0, 1.0, 2.0, 3.0]])
-        out = recover_point(Xi, np.arange(Xi.shape[1]), [0.0, 0.5, 0.5, 0.5], 2)
-        assert out[0] == 3.0  # columns 0 and 1 selected, median of (5, 1)
+        X = np.array([[1.0, 2.0, 100.0]])
+        for rows in ([[0, 1, 2], [2, 0, 2]], np.array([[2, 1, 0], [0, 2, 2]], np.int32)):
+            assert np.array_equal(recover_point(X, rows), [[2.0, 100.0]])
 
     def test_coordinate_bounds(self):
         rng = np.random.default_rng(5)
-        Xi = rng.standard_normal((8, 20))
-        d = np.concatenate([[0.0], rng.uniform(0.1, 2.0, 19)])
-        out = recover_point(Xi, np.arange(Xi.shape[1]), d, 7)
-        sel = np.argsort(d, kind="stable")[:7]
-        assert np.all(out >= Xi[:, sel].min(axis=1) - 1e-15)
-        assert np.all(out <= Xi[:, sel].max(axis=1) + 1e-15)
+        X = rng.standard_normal((8, 20))
+        rows = np.stack([rng.permutation(20)[:7] for _ in range(5)])
+        out = recover_point(X, rows)
+        for b, row in enumerate(rows):
+            assert np.all(out[:, b] >= X[:, row].min(axis=1))
+            assert np.all(out[:, b] <= X[:, row].max(axis=1))
 
     def test_clean_circle_chord_bound(self):
         theta = np.linspace(0.0, 0.4, 15)
-        Xi = np.vstack([np.cos(theta), np.sin(theta)])
-        d = np.linalg.norm(Xi - Xi[:, :1], axis=0)
-        out = recover_point(Xi, np.arange(Xi.shape[1]), d, 5)
-        sel = np.argsort(d, kind="stable")[:5]
-        diam = max(
-            np.linalg.norm(Xi[:, a] - Xi[:, b]) for a in sel for b in sel
-        )
-        assert np.linalg.norm(out - Xi[:, 0]) <= diam
+        X = np.vstack([np.cos(theta), np.sin(theta)])
+        row = np.arange(5)
+        out = recover_point(X, [row])[:, 0]
+        diam = max(np.linalg.norm(X[:, a] - X[:, b]) for a in row for b in row)
+        assert np.linalg.norm(out - X[:, 0]) <= diam
 
     def test_invalid_k(self):
-        for k in [4, 0, -1, True, 2.5, 2.0, "2", None]:
-            with pytest.raises(ValueError,
-                               match=r"k_local must be an integer in \[1, 3\]"):
-                recover_point(np.ones((2, 3)), np.arange(3), [0.0, 1.0, 2.0], k)
+        # k = 0 columns, or not a b x k array
+        for neighbors in (np.zeros((2, 0), dtype=int), [0, 1, 2], [[[0, 1]]], 3):
+            with pytest.raises(ValueError, match=r"b x k \(k >= 1\) integer column"):
+                recover_point(np.ones((2, 3)), neighbors)
 
     @pytest.mark.parametrize("patch", [
-        [-1, 0, 1],             # would wrap to column 9
-        [0, 1, 20],             # past the end, though never selected
-        [0.0, 1.0, 2.0],
-        [True, False, True],
+        [[-1, 0, 1]],           # would wrap to column 9
+        [[0, 1, 20]],           # past the end
+        [[0.0, 1.0, 2.0]],
+        [[True, False, True]],
     ])
     def test_patch_must_name_columns(self, patch):
         X = np.arange(50.0).reshape(5, 10)
         with pytest.raises(ValueError, match=r"integer column indices in \[0, 10\)"):
-            recover_point(X, np.array(patch), np.zeros(3), 2)
+            recover_point(X, patch)
 
     def test_X_must_be_2d(self):
         with pytest.raises(ValueError, match=r"X must be 2-D, got shape \(5,\)"):
-            recover_point(np.ones(5), np.arange(3), np.zeros(3), 2)
+            recover_point(np.ones(5), [[0, 1, 2]])
 
     def test_reads_only_selected_columns(self):
         X = np.arange(12.0).reshape(2, 6)
         X[0, 5] = np.nan
-        patch = np.array([2, 0, 5, 3])
-        d = [0.0, 0.2, 0.9, 0.1]
-        assert np.array_equal(recover_point(X, patch, d, 3), [2.0, 8.0])
+        assert np.array_equal(recover_point(X, [[2, 3, 0], [1, 1, 4]]),
+                              [[2.0, 1.0], [8.0, 7.0]])
         with pytest.raises(ValueError, match="non-finite"):
-            recover_point(X, patch, d, 4)
+            recover_point(X, [[2, 3, 0], [1, 5, 4]])
 
     @pytest.mark.parametrize("k", [1, 4, 5, 8])
     def test_block_matches_single_points(self, k):
+        # each row's median is np.median over the columns it lists
         rng = np.random.default_rng(16)
         X = rng.standard_normal((5, 30))
-        X[2, 29] = np.nan
-        # column 29 ends every patch, farthest, so it is never selected
-        patches = np.stack([np.append(rng.permutation(29)[:8], 29) for _ in range(6)])
-        d = rng.integers(0, 3, size=patches.shape).astype(float)  # many ties
-        d[:, -1] = 3.0
-        block = recover_point(X, patches, d, k)
-        assert block.shape == (5, 6)
-        for row in range(6):
-            assert np.array_equal(block[:, row], recover_point(X, patches[row], d[row], k))
-        with pytest.raises(ValueError, match="must match"):
-            recover_point(X, patches, d[:, :-1], k)
+        rows = rng.integers(0, 30, size=(40, k))  # repeats included
+        out = recover_point(X, rows)
+        assert out.shape == (5, 40)
+        for b, row in enumerate(rows):
+            assert np.array_equal(out[:, b], np.median(X[:, row], axis=1))
 
 
 def reference_recovery(X, cfg):
@@ -459,6 +444,21 @@ class TestRosdos:
         assert diag.fallbacks == 0
         assert len(outputs) == (1 if mode == MODE_SHRINK_ONLY else 120)
         assert all("denoised" not in vars(out) for out in outputs)
+
+    def test_local_ties_keep_patch_order(self, monkeypatch):
+        # equal local distances: each point takes itself and its first
+        # k_local - 1 neighbors, in neighborhoods' order
+        def equal(Xi, cfg):
+            return np.zeros(Xi.shape[1]), 1, None
+
+        monkeypatch.setattr(pipeline, "_local_distances", equal)
+        X = np.random.default_rng(18).standard_normal((20, 90))
+        cfg = PipelineConfig(K=30, k_local=6, seed=0)
+        hoods = global_metric(X, cfg).neighborhoods(cfg.K)
+        St, _ = rosdos(X, cfg)
+        for i in range(90):
+            sel = np.concatenate([[i], hoods[i][: cfg.k_local - 1]])
+            assert np.array_equal(St[:, i], np.median(X[:, sel], axis=1))
 
     def test_rank_zero_shrink_only_matches_zero_metric(self):
         X = 1e-3 * np.random.default_rng(17).standard_normal((30, 120))
@@ -591,4 +591,7 @@ class TestRosdos:
         X = rng.standard_normal((15, 80))
         St, diag = rosdos(X, PipelineConfig(K=10, k_local=3, seed=1))
         assert St.shape == X.shape
-        assert set(diag.timings) >= {"global_metric", "neighborhoods", "recovery"}
+        assert set(diag.timings) >= {"global_metric", "neighborhoods", "local", "recovery"}
+        assert diag.timings["local"] > 0
+        cfg = PipelineConfig(global_mode=MODE_SHRINK_ONLY, K=10, k_local=3)
+        assert rosdos(rng.standard_normal((30, 80)), cfg)[1].timings["local"] == 0

@@ -498,3 +498,16 @@ class TestMakeDataset:
     def test_bad_alpha_rejected_before_sampling(self, no_sampling, alpha, noise):
         with pytest.raises(ValueError, match="alpha"):
             make_dataset(ManifoldSpec("m1", 200, 3000, 0), NoiseSpec(noise, alpha, 1))
+
+    @pytest.mark.parametrize("p, alpha", [
+        (60, 200), (60, 174.0), (60, np.float64(174.0)), (200, 134), (60, 10 ** 400)],
+        ids=["int", "float", "float64", "p200", "huge-int"])
+    def test_overflowing_alpha_rejected(self, no_sampling, p, alpha):
+        # make_dataset divides by p ** alpha, past the float range here
+        with pytest.raises(ValueError, match=rf"^p \*\* alpha overflows: p={p}, alpha="):
+            synth.check_specs(ManifoldSpec("m1", p, 30, 0), NoiseSpec("gaussian", alpha, 1))
+
+    @pytest.mark.parametrize("p, alpha", [(60, 173), (60, 173.0), (200, 133)])
+    def test_largest_alpha_in_range_runs(self, p, alpha):
+        ds = make_dataset(ManifoldSpec("m1", p, 30, 0), NoiseSpec("gaussian", alpha, 1))
+        assert np.all(np.isfinite(ds.noisy)) and np.any(ds.noise != 0)
