@@ -59,7 +59,8 @@ def _pipeline_config(settings, n, **fixed):
 def _save_diagnostics(out, diag, cfg, **extra):
     """Write a rosdos run's diagnostics.json: its Diagnostics, its config and
     the extra keys."""
-    record = {**diag.to_dict(), "config": cfg.to_dict(), **extra}
+    record = {**dataclasses.asdict(diag), "config": dataclasses.asdict(cfg),
+              **extra}
     storage.save_json(os.path.join(out, "diagnostics.json"), record)
 
 
@@ -100,9 +101,8 @@ def cmd_denoise(args):
 
     out = args.out
     os.makedirs(out, exist_ok=True)
-    storage.save_matrix(
-        os.path.join(out, "denoised.csv"), denoised, {"config": cfg.to_dict()}
-    )
+    storage.save_matrix(os.path.join(out, "denoised.csv"), denoised,
+                        {"config": dataclasses.asdict(cfg)})
     _save_diagnostics(out, diag, cfg, wallclock_seconds=elapsed)
     print(f"denoised {X.shape[0]}x{X.shape[1]} in {elapsed:.1f}s")
     return EXIT_OK
@@ -171,7 +171,7 @@ def _run_cell(mspec, nspec, cfg, baselines, out):
             est,
             noise=ds.noise,
             timing=secs,
-            config={"method": method, **cfg.to_dict()},
+            config={"method": method, **dataclasses.asdict(cfg)},
         )
         storage.save_json(os.path.join(out, f"report_{method}.json"), report)
         rows.append((mspec.kind, nspec.kind, nspec.alpha, method,
@@ -277,7 +277,7 @@ def build_parser():
     den.add_argument("--seed", type=int)
     den.add_argument("--out", default=".")
     # a flag left out takes its PipelineConfig field's default
-    den.set_defaults(func=cmd_denoise, **PipelineConfig().to_dict())
+    den.set_defaults(func=cmd_denoise, **dataclasses.asdict(PipelineConfig()))
 
     ev = sub.add_parser("evaluate", help="score a denoised matrix")
     ev.add_argument("--clean", required=True)

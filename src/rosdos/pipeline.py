@@ -1,10 +1,9 @@
 """The three-step manifold denoiser: global metric, local shrinkage metric,
 and k-NN entrywise-median recovery."""
 
-import copy
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,9 +66,6 @@ class PipelineConfig:
         if h != "auto" and not is_positive_finite(h):
             raise ValueError(f"h must be positive and finite or 'auto', got {h!r}")
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class GlobalMetric:
@@ -119,10 +115,6 @@ class Diagnostics:
     timings: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
 
-    def to_dict(self):
-        # one level of copy; asdict would deep-copy every local rank
-        return {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
-
 
 def global_metric(X, cfg):
     """Step 1: a noise-robust global similarity metric over the samples."""
@@ -154,8 +146,8 @@ def _local_distances(Xi, cfg):
 
 
 def recover_point(X, neighbors):
-    """Step 3: for each row of a b x k integer array, the entrywise median of
-    the k columns of X it lists; p x b, in X's layout.
+    """Step 3: for each row of a b x k integer array (b >= 0), the entrywise
+    median of the k columns of X it lists; p x b, in X's layout.
 
     The entries are integers (not bools) in [0, X.shape[1]). Only the listed
     columns are read, so X is not checked as a whole.
@@ -167,12 +159,13 @@ def recover_point(X, neighbors):
     n = X.shape[1]
     # numpy wraps a negative index and never reads an unlisted one
     if (cols.ndim != 2 or cols.shape[1] == 0 or cols.dtype.kind not in "iu"
-            or cols.min() < 0 or cols.max() >= n):
+            or cols.size and (cols.min() < 0 or cols.max() >= n)):
         raise ValueError(
             f"neighbors must be b x k (k >= 1) integer column indices in [0, {n})")
     out = np.empty_like(X, dtype=float, shape=(X.shape[0], cols.shape[0]))
-    for j, row in enumerate(X):  # one row at a time: a b x k gather each
-        out[j] = entrywise_median(row[cols])
+    if cols.size:  # b = 0 leaves nothing to take a median of
+        for j, row in enumerate(X):  # one row at a time: a b x k gather each
+            out[j] = entrywise_median(row[cols])
     return out
 
 

@@ -28,7 +28,6 @@ class ShrinkageOutput:
     spectrum: np.ndarray        # noisy eigenvalues of X X^T (after orientation)
     bulk_edge: float
     effective_rank: int
-    imputed: np.ndarray
     shrunk: np.ndarray          # one value per kept component
     kept: np.ndarray            # indices (0-based) of kept components
     coords: np.ndarray          # n x r, rows as far apart as denoised's columns
@@ -97,8 +96,8 @@ def _rank_estimates(spectrum, n, k):
 
 
 def _shrink_components(spectrum, r, k, k_used, beta):
-    """The notes, the imputed noise eigenvalues, and the kept components with
-    their shrunk values, for effective rank r and imputation count k_used."""
+    """The notes and the kept components with their shrunk values, for
+    effective rank r and imputation count k_used."""
     notes = []
     if k_used != k:
         if spectrum.size < 2 * k_used + 1:
@@ -110,7 +109,7 @@ def _shrink_components(spectrum, r, k, k_used, beta):
 
     if r == 0:
         notes.append("effective rank 0: denoised matrix is zero")
-        return notes, np.array([]), np.array([], dtype=int), np.array([])
+        return notes, np.array([], dtype=int), np.array([])
     # The Stieltjes-transform sums over the spectrum, for components 0..r-1
     # in one array pass; the O(1) rest of the rule on numpy scalars, which
     # cost a tenth of an array operation. A component is dropped at the
@@ -151,7 +150,7 @@ def _shrink_components(spectrum, r, k, k_used, beta):
                 continue
             notes.append(f"component {i} dropped: degenerate shrinkage for "
                          f"component {i}: {why}")
-    return notes, imputed, np.array(kept, dtype=int), np.array(shrunk)
+    return notes, np.array(kept, dtype=int), np.array(shrunk)
 
 
 def check_size(p, n, k):
@@ -203,16 +202,14 @@ def eoptshrink(X, k=10):
     if floor < GRAM_FLOOR * spectrum[0]:
         reason = "ill-conditioned Gram"
     else:
-        notes, imputed, kept, shrunk = _shrink_components(
-            spectrum, r, k, k_used, beta)
+        notes, kept, shrunk = _shrink_components(spectrum, r, k, k_used, beta)
         U = kept_eigenvectors(gram, spectrum, kept)
         reason = "eigenvector check failed" if U is None else None
     if reason is not None:
         left, s, _ = svd(Xw)
         spectrum = s ** 2
         edge, r, k_used = _rank_estimates(spectrum, nw, k)
-        notes, imputed, kept, shrunk = _shrink_components(
-            spectrum, r, k, k_used, beta)
+        notes, kept, shrunk = _shrink_components(spectrum, r, k, k_used, beta)
         U = left[:, kept]
         notes.append(f"SVD taken: {reason}")
 
@@ -229,7 +226,6 @@ def eoptshrink(X, k=10):
         spectrum=spectrum,
         bulk_edge=edge,
         effective_rank=r,
-        imputed=imputed,
         shrunk=shrunk,
         kept=kept,
         coords=coords,

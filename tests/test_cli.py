@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import warnings
@@ -164,17 +165,17 @@ class TestDenoise:
             global_mode="global-shrink", h=2.5, gamma=0.4, q_prime=5, t=2.0,
             K=40, k_local=7, k_imp=8, seed=3,
         )
-        for name, value in expected.to_dict().items():
+        for name, value in dataclasses.asdict(expected).items():
             assert value != getattr(PipelineConfig(), name), name
         diag = storage.load_json(out / "diagnostics.json")
-        assert diag["config"] == expected.to_dict()
+        assert diag["config"] == dataclasses.asdict(expected)
 
     def test_no_pipeline_flag_records_the_config_defaults(self, tmp_path, dataset):
         out = tmp_path / "den"
         assert run(["denoise", "--input", dataset / "noisy.csv",
                     "--out", out]) == EXIT_OK
         diag = storage.load_json(out / "diagnostics.json")
-        assert diag["config"] == PipelineConfig().to_dict()
+        assert diag["config"] == dataclasses.asdict(PipelineConfig())
 
     def test_underflowing_diffusion_time_exit_two(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -412,8 +413,8 @@ class TestExperiment:
             for method, est in expected.items():
                 report = storage.load_json(
                     out / f"m1-{noise}-0.5" / f"report_{method}.json")
-                want = summarize(ds.clean, est, noise=ds.noise,
-                                 config={"method": method, **pcfg.to_dict()})
+                config = {"method": method, **dataclasses.asdict(pcfg)}
+                want = summarize(ds.clean, est, noise=ds.noise, config=config)
                 del report["wallclock_seconds"], want["wallclock_seconds"]
                 assert report == want, (noise, method)
 
@@ -537,8 +538,8 @@ class TestStorage:
         rng = np.random.default_rng(2)
         S = rng.standard_normal((20, 2000))
         noise = 0.3 * rng.standard_normal(S.shape)
-        return summarize(S, S + noise, noise, timing=1.25,
-                         config={"method": "raw", **PipelineConfig().to_dict()})
+        config = {"method": "raw", **dataclasses.asdict(PipelineConfig())}
+        return summarize(S, S + noise, noise, timing=1.25, config=config)
 
     @staticmethod
     def diagnostics_record():
@@ -548,7 +549,8 @@ class TestStorage:
             fallback_reasons={"matrix too small: min(p,n)=3 must exceed 21": 1},
             embedding_dim=4, timings={"recovery": 0.125, "neighborhoods": 1e-3},
             warnings=["embedding dimension cut from q_prime=50 to 4"])
-        return {**diag.to_dict(), "config": PipelineConfig(h=0.5).to_dict(),
+        return {**dataclasses.asdict(diag),
+                "config": dataclasses.asdict(PipelineConfig(h=0.5)),
                 "wallclock_seconds": 2.5}
 
     @pytest.mark.parametrize("make", ["report_record", "diagnostics_record"])

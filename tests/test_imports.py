@@ -206,11 +206,9 @@ def unread_dataclass_fields(sources, readers):
     """(file, line, "Class.field") of each field of a dataclass in sources
     ({file name: source}) that no source in readers loads as an attribute.
 
-    A class with a to_dict method is skipped: it is serialised whole, so
-    each field is read there. Fields are matched by attribute name only,
-    as in dead_public_names: a field counts as read when any object's
-    attribute of that name is, so SyntheticDataset.manifold, say, would
-    pass through cli's args.manifold.
+    Fields are matched by attribute name only, as in dead_public_names: a
+    field counts as read when any object's attribute of that name is, so
+    SyntheticDataset.manifold, say, would pass through cli's args.manifold.
     """
     read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
@@ -218,9 +216,6 @@ def unread_dataclass_fields(sources, readers):
     for path, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if not (isinstance(node, ast.ClassDef) and is_dataclass_node(node)):
-                continue
-            if any(isinstance(item, ast.FunctionDef) and item.name == "to_dict"
-                   for item in node.body):
                 continue
             found += [(path, item.lineno, f"{node.name}.{item.target.id}")
                       for item in node.body
@@ -237,7 +232,8 @@ def test_finds_an_unread_dataclass_field():
         "    def to_dict(self):\n        return {}\n"
         "class C:\n    w: int\n")}
     readers = ["def f(a):\n    a.y = 1\n    return a.x\n"]
-    assert unread_dataclass_fields(sources, readers) == [("a.py", 4, "A.y")]
+    assert unread_dataclass_fields(sources, readers) == [
+        ("a.py", 4, "A.y"), ("a.py", 7, "B.z")]
 
 
 def test_every_dataclass_field_is_read():

@@ -296,6 +296,10 @@ class TestRecoverPoint:
             with pytest.raises(ValueError, match=r"b x k \(k >= 1\) integer column"):
                 recover_point(np.ones((2, 3)), neighbors)
 
+    def test_empty_batch(self):
+        out = recover_point(np.ones((2, 3), dtype=int), np.zeros((0, 2), dtype=int))
+        assert out.shape == (2, 0) and out.dtype == float
+
     @pytest.mark.parametrize("patch", [
         [[-1, 0, 1]],           # would wrap to column 9
         [[0, 1, 20]],           # past the end
@@ -492,8 +496,7 @@ class TestRosdos:
         assert diag.local_ranks == [-1] * 200
         [(reason, count)] = diag.fallback_reasons.items()
         assert reason.startswith("matrix too small") and count == 200
-        assert diag.to_dict()["fallback_reasons"] == {reason: 200}
-        assert diag.to_dict() == dataclasses.asdict(diag)
+        assert dataclasses.asdict(diag)["fallback_reasons"] == {reason: 200}
 
     def test_embedding_dim_reported(self):
         X = np.random.default_rng(14).standard_normal((30, 64))
@@ -505,6 +508,18 @@ class TestRosdos:
         assert diag.warnings == []
         cfg = PipelineConfig(global_mode=MODE_SHRINK_ONLY, K=30, k_local=5)
         assert rosdos(X, cfg)[1].embedding_dim is None
+
+    def test_global_effective_rank_reported(self):
+        rng = np.random.default_rng(17)
+        X = (rng.standard_normal((40, 3)) @ rng.standard_normal((3, 200))
+             + 0.3 * rng.standard_normal((40, 200)))
+        cfg = PipelineConfig(K=30, k_local=5, k_imp=4, seed=0)
+        assert rosdos(X, cfg)[1].global_effective_rank is None
+        rank = shrinkage.eoptshrink(X, k=cfg.k_imp).effective_rank
+        assert rank == 3
+        for mode in (MODE_GLOBAL_SHRINK, MODE_SHRINK_ONLY):
+            cfg.global_mode = mode
+            assert rosdos(X, cfg)[1].global_effective_rank == rank
 
     def test_duplicate_dataset_exact(self):
         rng = np.random.default_rng(6)
@@ -574,8 +589,9 @@ class TestRosdos:
         rng = np.random.default_rng(16)
         X = rng.standard_normal((40, 12)) @ rng.standard_normal((12, 300))
         _, diag = rosdos(X, PipelineConfig(global_mode=mode, K=30, k_local=5))
-        assert "SVD taken: ill-conditioned Gram" in diag.warnings
-        assert "SVD taken: ill-conditioned Gram" in diag.to_dict()["warnings"]
+        note = "SVD taken: ill-conditioned Gram"
+        assert note in diag.warnings
+        assert note in dataclasses.asdict(diag)["warnings"]
 
     @pytest.mark.parametrize("t", [1e3, 1e6])
     def test_underflowing_diffusion_time_rejected(self, t):
