@@ -160,7 +160,7 @@ def test_criterion_5_dominates_oracle_tsvd():
 
 
 def test_criterion_6_spectral_invariants():
-    from full_graph import affinity_complete, full_graph_bandwidth
+    from reference import affinity_complete, full_graph_bandwidth
     from rosdos.diffusion import select_landmarks
     from rosdos.numerics import pairwise_sq_dist
 

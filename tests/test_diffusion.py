@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from full_graph import (
+from reference import (
     affinity_complete,
     dm_embed,
     full_graph_bandwidth,

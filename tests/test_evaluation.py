@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from reference import tsvd_reference
 from rosdos import evaluation, numerics
 from rosdos.evaluation import baseline_tsvd, nrmse, summarize
-
-
-def tsvd_reference(X, r):
-    """The top-r singular triplets of X from its thin SVD."""
-    if r == 0:
-        return np.zeros_like(X)
-    U, s, Vh = numerics.svd(X)
-    return (U[:, :r] * s[:r]) @ Vh[:r]
 
 
 class TestNrmse:

@@ -5,6 +5,8 @@ function or class is exported by __init__.py or read somewhere in the
 package, bar the named exceptions in KEPT_UNREAD. Every field of a package
 dataclass is read somewhere in the package, its tests or perfbench. Every
 name a package function stores, bar _names, is loaded in that function.
+Every public function or class of tests/reference.py is read by a test module
+or by another reference.
 
 __init__.py is skipped by the first two checks: its imports are the public
 API.
@@ -163,6 +165,27 @@ def test_every_public_name_is_exported_or_read():
     init = (Path(rosdos.__file__).parent / "__init__.py").read_text()
     dead = [(path, name) for path, _, name in dead_public_names(sources, init)]
     assert dead == sorted(KEPT_UNREAD)
+
+
+def dead_references(sources):
+    """dead_public_names over test modules ({file name: source}) with nothing
+    exported, kept to the entries of reference.py."""
+    return [entry for entry in dead_public_names(sources, "")
+            if entry[0] == "reference.py"]
+
+
+def test_finds_an_unread_reference():
+    sources = {"reference.py": "def f():\n    return g()\ndef g():\n    pass\n"
+                               "def h():\n    pass\n",
+               "test_a.py": "from reference import f\n\ndef test_f():\n    f()\n"}
+    assert dead_references(sources) == [("reference.py", 5, "h")]
+
+
+def test_every_reference_is_read():
+    tests = Path(__file__).resolve().parent
+    sources = {path.name: path.read_text()
+               for path in [tests / "reference.py", *tests.glob("test_*.py")]}
+    assert dead_references(sources) == []
 
 
 # pyproject.toml allows Python 3.10, so no file may use later syntax

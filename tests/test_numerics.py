@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from reference import householder_frame
 from rosdos import numerics
 from rosdos.numerics import (
     entrywise_median,
@@ -156,15 +157,6 @@ class TestRandomOrthogonal:
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
             random_orthogonal(0, 1)
-
-
-def householder_frame(G):
-    """haar_frame before Cholesky QR: numpy's Householder Q factor with its
-    column signs fixed so R's diagonal is >= 0."""
-    Q, R = np.linalg.qr(G)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    return Q * signs[None, :]
 
 
 class TestHaarFrame:

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from reference import reference_neighborhoods, reference_rosdos, svd_reference
 from rosdos import pipeline, shrinkage
 from rosdos.evaluation import nrmse
 from rosdos.numerics import pairwise_sq_dist
@@ -18,7 +19,9 @@ from rosdos.pipeline import (
     recover_point,
     rosdos,
 )
-from rosdos.synth import gaussian_noise, sample_m1, separable_noise
+from rosdos.synth import (
+    ManifoldSpec, NoiseSpec, gaussian_noise, make_dataset, sample_m1,
+    separable_noise)
 
 
 def angdist(a, b):
@@ -78,20 +81,6 @@ class TestPipelineConfig:
 
 def metric_distance(m, i, j):
     return np.linalg.norm(m.coords[i] - m.coords[j])
-
-
-def reference_neighborhoods(coords, K, block):
-    """K nearest neighbors per point from per-block pairwise_sq_dist and a
-    stable argsort of each row, self excluded."""
-    P = coords.T
-    ref = np.empty((P.shape[1], K), dtype=int)
-    for start in range(0, P.shape[1], block):
-        stop = min(start + block, P.shape[1])
-        D = pairwise_sq_dist(P[:, start:stop], P)
-        order = np.argsort(D, axis=1, kind="stable")
-        for r, i in enumerate(range(start, stop)):
-            ref[i] = order[r][order[r] != i][:K]
-    return ref
 
 
 def blocked_neighborhoods(monkeypatch, metric, K, block):
@@ -335,36 +324,17 @@ class TestRecoverPoint:
             assert np.array_equal(out[:, b], np.median(X[:, row], axis=1))
 
 
-def reference_recovery(X, cfg):
-    """Reference recovery loop: gathers the whole patch X[:, patch], takes
-    np.median, and reads the global coordinates in the layout global_metric
-    returned."""
-    X = np.asarray(X, dtype=float)
-    metric = global_metric(X, cfg)
-    hoods = metric.neighborhoods(cfg.K)
-    out = np.empty_like(X)
-    for i in range(X.shape[1]):
-        patch = np.concatenate([[i], hoods[i]])
-        Xi = X[:, patch]
-        if cfg.global_mode == MODE_SHRINK_ONLY:
-            dists = np.linalg.norm(metric.coords[patch] - metric.coords[i], axis=1)
-        else:
-            dists, _, _ = _local_distances(Xi, cfg)
-        sel = np.argsort(dists, kind="stable")[: cfg.k_local]
-        out[:, i] = np.median(Xi[:, sel], axis=1)
-    return out
-
-
 class TestShrinkOnly:
     """Shrink-only recovery takes each point and its k_local - 1 nearest
     neighbors in neighborhoods' order; the reference is the K-neighborhood
-    re-ranked by direct norm in the same coordinates (reference_recovery)."""
+    re-ranked by direct norm in the same coordinates (reference_rosdos)."""
 
     @staticmethod
     def check(X, k_local):
         for K in (k_local + 1, 100):
             cfg = PipelineConfig(global_mode=MODE_SHRINK_ONLY, K=K, k_local=k_local)
-            assert np.array_equal(rosdos(X, cfg)[0], reference_recovery(X, cfg))
+            assert np.array_equal(rosdos(X, cfg)[0],
+                                  reference_rosdos(X, cfg, shrinkage.eoptshrink).denoised)
 
     @pytest.mark.parametrize("k_local", [1, 5, 20])
     @pytest.mark.parametrize("p, n, seed", [(60, 300, 31), (200, 400, 32), (25, 250, 33)])
@@ -413,7 +383,7 @@ class TestRosdos:
         for k_local in (10, 7):
             cfg = PipelineConfig(global_mode=mode, K=40, k_local=k_local, seed=0)
             St, _ = rosdos(X, cfg)
-            assert np.array_equal(St, reference_recovery(X, cfg))
+            assert np.array_equal(St, reference_rosdos(X, cfg, shrinkage.eoptshrink).denoised)
 
     @pytest.mark.parametrize("mode", [MODE_ROSELAND, MODE_SHRINK_ONLY])
     def test_same_output_for_every_layout(self, mode):
@@ -611,3 +581,34 @@ class TestRosdos:
         assert diag.timings["local"] > 0
         cfg = PipelineConfig(global_mode=MODE_SHRINK_ONLY, K=10, k_local=3)
         assert rosdos(rng.standard_normal((30, 80)), cfg)[1].timings["local"] == 0
+
+
+class TestIndependentGate:
+    """rosdos against reference_rosdos with svd_reference as the local
+    shrinker: eOptShrink from a dense SVD, with distances between the columns
+    of the whole p x (K + 1) denoised patch, not in its r kept coordinates.
+    Every point whose k_local selection agrees with rosdos's must recover the
+    same value bit for bit; the share of points whose selection changed is
+    printed (run with -s) and may not grow."""
+
+    CHANGED = 0.0  # the largest share measured when the test was written
+
+    @pytest.mark.parametrize("n", [400, 800])
+    @pytest.mark.parametrize("noise, alpha", [("separable", 1 / 2), ("gaussian", 1 / 3)],
+                             ids=["separable", "gaussian"])
+    @pytest.mark.parametrize("mode", [MODE_ROSELAND, MODE_GLOBAL_SHRINK])
+    def test_equal_wherever_the_selection_agrees(self, mode, noise, alpha, n):
+        X = make_dataset(ManifoldSpec("m1", 60, n, 3), NoiseSpec(noise, alpha, 4)).noisy
+        cfg = PipelineConfig(global_mode=mode, K=40, k_local=10)
+        St, _ = rosdos(X, cfg)
+        # with the package's shrinker the reference is rosdos, selections too
+        package = reference_rosdos(X, cfg, shrinkage.eoptshrink)
+        assert np.array_equal(St, package.denoised)
+        ref = reference_rosdos(X, cfg, svd_reference)
+        same = np.all(np.sort(ref.selected, axis=1)
+                      == np.sort(package.selected, axis=1), axis=1)
+        changed = 1.0 - same.mean()
+        print(f"{mode}, {noise} noise, n = {n}: selection changed at "
+              f"{changed:.2%} of points")
+        assert np.array_equal(St[:, same], ref.denoised[:, same])
+        assert changed <= self.CHANGED

@@ -1,13 +1,21 @@
-from dataclasses import dataclass
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import (
+    DegenerateShrinkageError,
+    eager_denoised,
+    eigh_reference,
+    excess,
+    reference_estimates,
+    reference_rosdos,
+    scalar_components,
+    shrink_singular_value,
+    stieltjes_estimates,
+    svd_reference,
+)
 from rosdos import shrinkage
-from rosdos.numerics import (
-    random_orthogonal, round_half_up, short_side_spectrum, svd)
+from rosdos.numerics import random_orthogonal, round_half_up, short_side_spectrum
 from rosdos.pipeline import (
     MODE_ROSELAND, MODE_SHRINK_ONLY, PipelineConfig, global_metric, rosdos)
 from rosdos.shrinkage import (
@@ -21,75 +29,6 @@ from rosdos.synth import ManifoldSpec, NoiseSpec, make_dataset
 from test_acceptance import spiked_noise
 
 EDGE_COEF = 1.0 / (2.0 ** (2.0 / 3.0) - 1.0)
-EPS = np.finfo(float).eps
-
-
-# The eOptShrink rule one component at a time, on scalars: the reference
-# that eoptshrink's array pass (shrinkage._shrink_components) must match
-# bit for bit, values and notes alike.
-
-class DegenerateShrinkageError(ShrinkageError):
-    """A component sits too close to the noise bulk to be shrunk reliably."""
-
-    def __init__(self, component, detail=""):
-        self.component = component
-        msg = f"degenerate shrinkage for component {component}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-
-
-@dataclass
-class StieltjesEstimates:
-    m1: float
-    m2: float
-    m1p: float
-    m2p: float
-    T: float
-    Tp: float
-
-
-def stieltjes_estimates(spectrum, imputed, i, beta):
-    """Empirical Stieltjes-transform quantities at the i-th (0-based) spike.
-
-    The first len(imputed) noisy eigenvalues are replaced by the imputed noise
-    eigenvalues; the remainder of the spectrum enters as observed.
-    """
-    lam = np.asarray(spectrum, dtype=float)
-    imp = np.asarray(imputed, dtype=float)
-    k = imp.size
-    p = lam.size
-    li = lam[i]
-    if li <= 0:
-        raise DegenerateShrinkageError(i, "nonpositive eigenvalue")
-    tail = lam[k:]
-    if np.any(imp >= li) or np.any(tail >= li):
-        raise DegenerateShrinkageError(
-            i, "eigenvalue not separated from the imputed bulk"
-        )
-    m1 = (np.sum(1.0 / (imp - li)) + np.sum(1.0 / (tail - li))) / p
-    m2 = beta * m1 - (1.0 - beta) / li
-    m1p = (np.sum(1.0 / (imp - li) ** 2) + np.sum(1.0 / (tail - li) ** 2)) / p
-    m2p = (1.0 - beta) / li ** 2 + beta * m1p
-    T = li * m1 * m2
-    Tp = m1 * m2 + li * m1p * m2 + li * m1 * m2p
-    if T <= 0 or Tp >= 0:
-        raise DegenerateShrinkageError(i, f"T={T:.3g}, Tp={Tp:.3g}")
-    return StieltjesEstimates(m1=m1, m2=m2, m1p=m1p, m2p=m2p, T=T, Tp=Tp)
-
-
-def shrink_singular_value(lam_i, est, i):
-    """Optimally shrunk singular value for the i-th outlier eigenvalue lam_i."""
-    phi2 = 1.0 / est.T
-    a1 = est.m1 / (phi2 * est.Tp)
-    a2 = est.m2 / (phi2 * est.Tp)
-    prod = a1 * a2
-    if prod <= 0:
-        raise DegenerateShrinkageError(i, f"a1*a2={prod:.3g}")
-    d = np.sqrt(phi2) * np.sqrt(prod)
-    if not np.isfinite(d) or d <= 0:
-        raise DegenerateShrinkageError(i, f"d={float(d)!r}")
-    return float(d)
 
 
 def noise_spectrum(p, n, seed):
@@ -435,18 +374,8 @@ def spiked_model(n, seed, separable=True):
 
 
 def oracle_excess(n, seed, raw=False):
-    """How far eoptshrink's Frobenius loss exceeds the oracle's on the same
-    singular vectors, d_i* = u_i^T S v_i, as a fraction of the oracle's;
-    raw=True keeps the singular values unshrunk."""
-    S, X = spiked_model(n, seed)
-    out = eoptshrink(X)
-    sigma = np.sqrt(out.spectrum[out.kept])
-    U = out.left
-    V = X.T @ U / sigma
-    d = sigma if raw else out.shrunk
-    oracle = np.einsum("ij,ik,kj->j", U, S, V)
-    loss, best = (np.linalg.norm((U * e) @ V.T - S) for e in (d, oracle))
-    return loss / best - 1.0
+    """excess on the spiked model at size n."""
+    return excess(*spiked_model(n, seed), raw=raw)[0]
 
 
 def mp_median(beta):
@@ -505,89 +434,44 @@ class TestFidelity:
                     assert err_gd == pytest.approx(err, rel=1e-2), seed
 
 
-def reference_estimates(lam, pw, nw, k):
-    """The estimator loop over a spectrum: bulk edge, effective rank, kept
-    components, their shrunk values and the notes, with k raised to r + 5
-    when the rank reaches it."""
-    edge = estimate_bulk_edge(lam, nw)
-    r = estimate_effective_rank(lam, edge, nw)
-    notes = []
-    if r >= k:
-        notes.append(f"imputation count raised from {k} to {r + 5}")
-        k = r + 5
-    kept, shrunk = [], []
-    if r > 0:
-        kept, shrunk, dropped = scalar_components(
-            lam, impute_noise_eigs(lam, k), r, pw / nw)
-        notes += dropped
-    else:
-        notes.append("effective rank 0: denoised matrix is zero")
-    return SimpleNamespace(edge=edge, r=r, k=k, kept=np.asarray(kept, dtype=int),
-                           shrunk=np.asarray(shrunk), notes=notes)
-
-
-def scalar_components(lam, imputed, r, beta):
-    """The kept components among 0..r-1, their shrunk values and the notes of
-    the dropped ones, from stieltjes_estimates and shrink_singular_value."""
-    kept, shrunk, notes = [], [], []
-    for i in range(r):
-        try:
-            est = stieltjes_estimates(lam, imputed, i, beta)
-            shrunk.append(shrink_singular_value(lam[i], est, i))
-        except DegenerateShrinkageError as exc:
-            notes.append(f"component {i} dropped: {exc}")
-            continue
-        kept.append(i)
-    return kept, shrunk, notes
-
-
-def svd_reference(X, k=10):
-    """eOptShrink computed from the thin SVD of X: the squared singular values
-    are the spectrum and the kept singular triplets rebuild the estimate."""
-    transposed = X.shape[0] > X.shape[1]
-    Xw = X.T if transposed else X
-    pw, nw = Xw.shape
-    U, s, Vh = svd(Xw)
-    lam = s ** 2
-    e = reference_estimates(lam, pw, nw, k)
-    denoised = (U[:, e.kept] * e.shrunk) @ Vh[e.kept]
-    return SimpleNamespace(
-        spectrum=lam, bulk_edge=e.edge, effective_rank=e.r, kept=e.kept,
-        denoised=denoised.T if transposed else denoised,
-    )
-
-
-def eigh_reference(X, k=10):
-    """eOptShrink with the spectrum and the left singular vectors from eigh
-    of the short-side Gram matrix, and from the SVD when an order statistic
-    the estimators read is below sqrt(eps) * lambda_max: the eigen step
-    before inverse iteration replaced it."""
-    transposed = X.shape[0] > X.shape[1]
-    Xw = X.T if transposed else X
-    pw, nw = Xw.shape
-    lam, vecs = np.linalg.eigh(Xw @ Xw.T)
-    lam, left = np.maximum(lam[::-1], 0.0), vecs[:, ::-1]
-    m = round_half_up(nw ** 0.25)
-    e = reference_estimates(lam, pw, nw, k)
-    if lam[min(2 * max(e.k, m), pw - 1)] < np.sqrt(EPS) * lam[0]:
-        left, s, _ = svd(Xw)
-        lam = s ** 2
-        e = reference_estimates(lam, pw, nw, k)
-        e.notes.append("SVD taken: ill-conditioned Gram")
-    U = left[:, e.kept]
-    if transposed:
-        coords = U * e.shrunk
-    else:
-        coords = (U.T @ Xw).T * (e.shrunk / np.sqrt(lam[e.kept]))
-    return SimpleNamespace(spectrum=lam, effective_rank=e.r, kept=e.kept,
-                           coords=coords, warnings=e.notes)
+@pytest.fixture(scope="module")
+def m1_separable_dataset():
+    return make_dataset(
+        ManifoldSpec("m1", 200, 1000, 0), NoiseSpec("separable", 1.0 / 3.0, 1))
 
 
 @pytest.fixture(scope="module")
-def m1_separable():
-    return make_dataset(
-        ManifoldSpec("m1", 200, 1000, 0), NoiseSpec("separable", 1.0 / 3.0, 1)
-    ).noisy
+def m1_separable(m1_separable_dataset):
+    return m1_separable_dataset.noisy
+
+
+class TestPatchFidelity:
+    """excess on paper-like patches: the 101 columns rosdos shrinks for every
+    4th point of M1 under separable noise (p = 200, n = 1000, alpha = 1/3,
+    neighbours from the roseland metric), each against its clean patch.
+
+    Measured: 250 patches, median excess 0.42 %, p90 1.5 %, p99 2.9 %, kept
+    ranks {1: 8, 2: 229, 3: 13}. At n = 1000 the patches are mostly rank 2,
+    while the paper's n = 5000 patches are mostly rank 1."""
+
+    BOUND = 6e-3  # on the median excess, 1.4 x the measured 0.42 %
+
+    def test_median_excess_of_paper_like_patches(self, m1_separable_dataset):
+        ds = m1_separable_dataset
+        hoods = global_metric(ds.noisy, PipelineConfig()).neighborhoods(100)
+        by_rank = {}
+        for i in range(0, ds.noisy.shape[1], 4):
+            patch = np.concatenate([[i], hoods[i]])
+            value, rank = excess(ds.clean[:, patch], ds.noisy[:, patch])
+            by_rank.setdefault(rank, []).append(value)
+        values = np.concatenate(list(by_rank.values()))
+        print(f"patch excess: median {np.median(values):.2%}, "
+              f"p90 {np.quantile(values, 0.9):.2%}, "
+              f"p99 {np.quantile(values, 0.99):.2%}; by kept rank: "
+              + ", ".join(f"{r}: {len(v)} patches, median {np.median(v):.2%}"
+                          for r, v in sorted(by_rank.items())))
+        assert values.size == 250
+        assert np.median(values) < self.BOUND
 
 
 class TestArrayRule:
@@ -780,31 +664,16 @@ class TestAgainstEighReference:
         assert eigenvector_svd < 10
 
     @pytest.mark.parametrize("mode", [MODE_ROSELAND, MODE_SHRINK_ONLY])
-    def test_rosdos_matches_reference_loop(self, mode, monkeypatch):
+    def test_rosdos_matches_reference_loop(self, mode):
         X = make_dataset(
             ManifoldSpec("m1", 200, 600, 2), NoiseSpec("separable", 1.0 / 3.0, 3)
         ).noisy
         cfg = PipelineConfig(global_mode=mode)
         St, diag = rosdos(X, cfg)
-        monkeypatch.setattr(shrinkage, "eoptshrink", eigh_reference)
-        ref, ref_diag = rosdos(X, cfg)
-        assert np.array_equal(St, ref)
-        assert diag.local_ranks == ref_diag.local_ranks
-        assert diag.fallback_reasons == ref_diag.fallback_reasons
-
-
-def eager_denoised(X, out):
-    """The reconstruction eoptshrink formed on every call before `denoised`
-    was formed on first read."""
-    Xw = X.T if out.transposed else X
-    if out.kept.size:
-        U = out.left
-        UtX = U.T @ Xw
-        scale = out.shrunk / np.sqrt(out.spectrum[out.kept])
-        denoised = (U * scale) @ UtX
-    else:
-        denoised = np.zeros_like(Xw)
-    return denoised.T if out.transposed else denoised
+        ref = reference_rosdos(X, cfg, eigh_reference)
+        assert np.array_equal(St, ref.denoised)
+        assert diag.local_ranks == ref.local_ranks
+        assert diag.fallback_reasons == ref.fallback_reasons
 
 
 class TestLazyDenoised:

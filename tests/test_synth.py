@@ -1,8 +1,10 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from reference import dense_haar_reference, householder_frame, times_b_half
 from rosdos import synth
 from rosdos.synth import (
     ManifoldSpec,
@@ -24,65 +26,6 @@ def ks_statistic(a, b):
     Fa = np.searchsorted(a, grid, side="right") / a.size
     Fb = np.searchsorted(b, grid, side="right") / b.size
     return float(np.max(np.abs(Fa - Fb)))
-
-
-def dense_haar_reference(left, d, rng, draws):
-    """The n x n construction, batched over draws: left @ O diag(d) O^T with
-    O the QR factor of an n x n Gaussian under two sign fixes (R's diagonal,
-    then O's diagonal, made positive); column signs cancel in O diag(d) O^T,
-    so the second fix does not change the distribution."""
-    n = left.shape[1]
-    O, R = np.linalg.qr(rng.standard_normal((draws, n, n)))
-    O = O * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
-    O = O * np.sign(np.diagonal(O, axis1=1, axis2=2))[:, None, :]
-    return ((left @ O) * d) @ np.swapaxes(O, 1, 2)
-
-
-def times_b_half_with_q(left, d, rng_h, rng_f):
-    """synth._times_b_half as first written: E's coordinates in the basis F
-    come from E^T F with F the thin QR's Q factor, not from the R factor."""
-    p, n = left.shape
-    V, C = np.linalg.qr(left.T)
-    r = V.shape[1]
-    H = synth.haar_frame(rng_h.standard_normal((n, r)))
-    Y = d[:, None] * (H @ C)
-    Yh = H.T @ Y
-    out = Yh.T @ V.T
-    s = min(p, n - r)
-    if s > 0:
-        E = Y - H @ Yh
-        F = np.linalg.qr(E)[0][:, :s]
-        G = rng_f.standard_normal((n, s))
-        Fp = synth.haar_frame(G - V @ (V.T @ G))
-        out += (E.T @ F) @ Fp.T
-    return out
-
-
-def householder_frame(G):
-    """synth.haar_frame as first written: the sign-fixed Householder Q."""
-    Q, R = np.linalg.qr(G)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    return Q * signs[None, :]
-
-
-def times_b_half_householder(left, d, rng_h, rng_f):
-    """times_b_half_with_q with every frame a Householder Q factor."""
-    p, n = left.shape
-    V, C = np.linalg.qr(left.T)
-    r = V.shape[1]
-    H = householder_frame(rng_h.standard_normal((n, r)))
-    Y = d[:, None] * (H @ C)
-    Yh = H.T @ Y
-    out = Yh.T @ V.T
-    s = min(p, n - r)
-    if s > 0:
-        E = Y - H @ Yh
-        F = np.linalg.qr(E)[0][:, :s]
-        G = rng_f.standard_normal((n, s))
-        Fp = householder_frame(G - V @ (V.T @ G))
-        out += (E.T @ F) @ Fp.T
-    return out
 
 
 def separable_noise_with_row_cov(monkeypatch, p, n, seed):
@@ -278,7 +221,8 @@ class TestSeparableNoise:
     @pytest.mark.parametrize("p,n", [(200, 2000), (60, 100), (40, 300), (60, 40)])
     def test_r_factor_matches_q_factor_construction(self, monkeypatch, p, n):
         Xi, a_eigs, b_eigs, A = separable_noise_with_row_cov(monkeypatch, p, n, 5)
-        monkeypatch.setattr(synth, "_times_b_half", times_b_half_with_q)
+        monkeypatch.setattr(synth, "_times_b_half",
+                            partial(times_b_half, frame=synth.haar_frame))
         ref, ref_a, ref_b, ref_A = separable_noise_with_row_cov(monkeypatch, p, n, 5)
         assert np.max(np.abs(Xi - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.array_equal(a_eigs, ref_a)
@@ -290,7 +234,8 @@ class TestSeparableNoise:
     def test_same_draws_as_householder_frames(self, monkeypatch, p, n):
         # Cholesky QR and V from C change only rounding, not the draw
         Xi = separable_noise(p, n, 5)[0]
-        monkeypatch.setattr(synth, "_times_b_half", times_b_half_householder)
+        monkeypatch.setattr(synth, "_times_b_half",
+                            partial(times_b_half, frame=householder_frame))
         ref = separable_noise(p, n, 5)[0]
         assert np.max(np.abs(Xi - ref)) <= 1e-12 * np.max(np.abs(ref))
 
