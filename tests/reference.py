@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from rosdos.numerics import pairwise_sq_dist, round_half_up, svd
-from rosdos.pipeline import MODE_SHRINK_ONLY, global_metric
+from rosdos.pipeline import MODE_ROSELAND, MODE_SHRINK_ONLY, global_metric
 from rosdos.shrinkage import (
     ShrinkageError, eoptshrink, estimate_bulk_edge, estimate_effective_rank,
     impute_noise_eigs)
@@ -259,23 +259,26 @@ def reference_neighborhoods(coords, K, block):
 
 def reference_rosdos(X, cfg, shrink):
     """rosdos from plain parts, with shrink (called as eoptshrink is) as the
-    local shrinker. Step 1 is the package's global_metric, and the K
-    neighbours come from a full stable argsort. Each patch, the point and
-    then its neighbours, is ordered by a stable argsort of the distances from
-    column 0: in shrink(patch).coords, in the raw patch with rank -1 where
-    shrink raises ShrinkageError, or in the global coordinates in shrink-only
-    mode. Step 3 is np.median over the first k_local. Returns denoised,
+    shrinker. Step 1 is shrink(X).coords in the two shrinkage modes and the
+    package's global_metric in roseland mode, and the K neighbours come from
+    a full stable argsort. Each patch, the point and then its neighbours, is
+    ordered by a stable argsort of the distances from column 0: in
+    shrink(patch).coords, in the raw patch with rank -1 where shrink raises
+    ShrinkageError, or in the step-1 coordinates in shrink-only mode. Step 3 is np.median over the first k_local. Returns denoised,
     selected (n x k_local), local_ranks and fallback_reasons in a namespace."""
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
-    metric = global_metric(X, cfg)
-    hoods = reference_neighborhoods(metric.coords, cfg.K, n)
+    if cfg.global_mode == MODE_ROSELAND:
+        coords = global_metric(X, cfg).coords
+    else:
+        coords = shrink(X, k=cfg.k_imp).coords
+    hoods = reference_neighborhoods(coords, cfg.K, n)
     selected = np.empty((n, cfg.k_local), dtype=int)
     ranks, reasons = [], Counter()
     for i in range(n):
         patch = np.concatenate([[i], hoods[i]])
         if cfg.global_mode == MODE_SHRINK_ONLY:
-            d = np.linalg.norm(metric.coords[patch] - metric.coords[i], axis=1)
+            d = np.linalg.norm(coords[patch] - coords[i], axis=1)
         else:
             Xi = X[:, patch]
             try:

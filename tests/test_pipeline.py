@@ -584,12 +584,13 @@ class TestRosdos:
 
 
 class TestIndependentGate:
-    """rosdos against reference_rosdos with svd_reference as the local
-    shrinker: eOptShrink from a dense SVD, with distances between the columns
-    of the whole p x (K + 1) denoised patch, not in its r kept coordinates.
-    Every point whose k_local selection agrees with rosdos's must recover the
-    same value bit for bit; the share of points whose selection changed is
-    printed (run with -s) and may not grow."""
+    """rosdos against reference_rosdos with svd_reference as the shrinker:
+    eOptShrink from a dense SVD, with distances between the columns of the
+    whole denoised matrix (global-shrink step 1) or p x (K + 1) patch, not in
+    the r kept coordinates. The gate pins the share of points whose k_local
+    selection differs from the package's: it is printed (run with -s) and may
+    not grow. Bit equality with rosdos rests on reference_rosdos with the
+    package's eoptshrink reproducing it."""
 
     CHANGED = 0.0  # the largest share measured when the test was written
 
@@ -610,5 +611,4 @@ class TestIndependentGate:
         changed = 1.0 - same.mean()
         print(f"{mode}, {noise} noise, n = {n}: selection changed at "
               f"{changed:.2%} of points")
-        assert np.array_equal(St[:, same], ref.denoised[:, same])
         assert changed <= self.CHANGED
