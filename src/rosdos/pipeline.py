@@ -132,17 +132,24 @@ def global_metric(X, cfg):
     return GlobalMetric(coords=out.coords, shrink=out)
 
 
-def _local_distances(Xi, cfg):
-    """Denoised distances from column 0 of a local patch, its effective rank
-    and None; when the local shrinkage degenerates, raw Euclidean distances,
-    rank -1 and the reason."""
-    try:
-        out = shrinkage.eoptshrink(Xi, k=cfg.k_imp)
-        d = np.linalg.norm(out.coords - out.coords[0], axis=1)
-        return d, out.effective_rank, None
-    except shrinkage.ShrinkageError as exc:
-        d = np.linalg.norm(Xi - Xi[:, :1], axis=0)
-        return d, -1, str(exc)
+def local_step(X, patches, cfg):
+    """Step 2: stably sort each row of the n x (K+1) patches in place by its
+    eoptshrink distances from column 0; return (ranks, Counter of reasons).
+    A patch that raises ShrinkageError sorts by raw distance, with rank -1."""
+    Xf = np.asfortranarray(X)  # sample-major: each column one read
+    local_ranks, reasons = [], Counter()
+    for patch in patches:
+        Xi = Xf[:, patch]
+        try:
+            out = shrinkage.eoptshrink(Xi, k=cfg.k_imp)
+            d = np.linalg.norm(out.coords - out.coords[0], axis=1)
+            local_ranks.append(out.effective_rank)
+        except shrinkage.ShrinkageError as exc:
+            d = np.linalg.norm(Xi - Xi[:, :1], axis=0)
+            local_ranks.append(-1)
+            reasons[str(exc)] += 1
+        patch[:] = patch[np.argsort(d, kind="stable")]
+    return local_ranks, reasons
 
 
 def recover_point(X, neighbors):
@@ -187,17 +194,9 @@ def rosdos(X, cfg):
     timings["neighborhoods"] = time.perf_counter() - t0
 
     patches = np.column_stack((np.arange(n), hoods))
-    local_ranks = []
-    fallback_reasons = Counter()
     t0 = time.perf_counter()
-    if not skip_local:  # step 2: reorder each patch by its local metric
-        Xf = np.asfortranarray(X)  # sample-major: each column one read
-        for patch in patches:
-            d, rank, reason = _local_distances(Xf[:, patch], cfg)
-            patch[:] = patch[np.argsort(d, kind="stable")]  # ties: patch order
-            local_ranks.append(rank)
-            if reason is not None:
-                fallback_reasons[reason] += 1
+    local_ranks, fallback_reasons = (
+        ([], Counter()) if skip_local else local_step(X, patches, cfg))
     timings["local"] = 0.0 if skip_local else time.perf_counter() - t0
     t0 = time.perf_counter()
     recovered = recover_point(X, patches[:, :cfg.k_local])

@@ -1,5 +1,7 @@
 import dataclasses
 import sys
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from rosdos.pipeline import (
     MODE_SHRINK_ONLY,
     GlobalMetric,
     PipelineConfig,
-    _local_distances,
     global_metric,
+    local_step,
     recover_point,
     rosdos,
 )
@@ -205,14 +207,24 @@ class TestGlobalMetric:
         assert recall(hood) > recall(raw)
 
 
+def patch_distances(Xi, cfg):
+    """Distances from column 0 of a patch in its eoptshrink coordinates."""
+    coords = shrinkage.eoptshrink(Xi, k=cfg.k_imp).coords
+    return np.linalg.norm(coords - coords[0], axis=1)
+
+
 class TestLocalDenoise:
     def test_identical_columns_zero_dists(self):
         X = np.tile(np.arange(30.0)[:, None], (1, 80))
         cfg = PipelineConfig(global_mode=MODE_GLOBAL_SHRINK, K=40, k_local=5)
         patch = np.concatenate([[3], np.arange(41)[np.arange(41) != 3][:40]])
-        dists, _, _ = _local_distances(X[:, patch], cfg)
+        dists = patch_distances(X[:, patch], cfg)
         assert dists.shape == (41,)
         assert np.allclose(dists, 0.0, atol=1e-8)
+        patches = patch[None].copy()
+        ranks, reasons = local_step(X, patches, cfg)
+        assert ranks == [1] and not reasons
+        assert np.array_equal(patches[0], patch)  # all ties: patch order
 
     def test_noiseless_planar_patch(self):
         rng = np.random.default_rng(3)
@@ -221,9 +233,12 @@ class TestLocalDenoise:
         a, b = rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40)
         X = c[:, None] + np.outer(u, a) + np.outer(v, b)
         cfg = PipelineConfig(global_mode=MODE_GLOBAL_SHRINK, K=39, k_local=5)
-        dists, rank, fell_back = _local_distances(X, cfg)
+        dists = patch_distances(X, cfg)
+        patches = np.arange(40)[None]
+        (rank,), fell_back = local_step(X, patches, cfg)
         assert not fell_back
         assert rank <= 3
+        assert np.array_equal(patches[0], np.argsort(dists, kind="stable"))
         raw = np.linalg.norm(X - X[:, :1], axis=0)
         assert np.allclose(dists[1:], raw[1:], rtol=0.02)
         assert dists[0] == 0.0
@@ -235,20 +250,50 @@ class TestLocalDenoise:
         X = S + Xi / p ** (1.0 / 3.0)
         cfg = PipelineConfig(K=100, k_local=20, seed=0)
         hoods = global_metric(X, cfg).neighborhoods(cfg.K)
-        from rosdos.pipeline import _local_distances
 
         rng = np.random.default_rng(0)
-        sh_ang, raw_ang = [], []
-        for i in rng.choice(n, 40, replace=False):
-            patch = np.concatenate([[i], hoods[i]])
-            Xp = X[:, patch]
-            d_sh, _, _ = _local_distances(Xp, cfg)
-            d_raw = np.linalg.norm(Xp - Xp[:, :1], axis=0)
-            sel_sh = patch[np.argsort(d_sh, kind="stable")[: cfg.k_local]]
-            sel_raw = patch[np.argsort(d_raw, kind="stable")[: cfg.k_local]]
-            sh_ang.append(angdist(theta[sel_sh], theta[i]).mean())
-            raw_ang.append(angdist(theta[sel_raw], theta[i]).mean())
+        points = rng.choice(n, 40, replace=False)
+        patches = np.column_stack((points, hoods[points]))
+        d_raw = np.linalg.norm(X[:, patches] - X[:, points, None], axis=0)
+        sel_raw = np.take_along_axis(
+            patches, np.argsort(d_raw, axis=1, kind="stable"), axis=1)[:, : cfg.k_local]
+        _, fell_back = local_step(X, patches, cfg)
+        assert not fell_back
+        sel_sh = patches[:, : cfg.k_local]
+        sh_ang = angdist(theta[sel_sh], theta[points, None]).mean(axis=1)
+        raw_ang = angdist(theta[sel_raw], theta[points, None]).mean(axis=1)
         assert np.mean(sh_ang) < np.mean(raw_ang)
+
+    def test_mixed_fallbacks(self, monkeypatch):
+        # every third patch raises, with one of two reasons; the rest shrink
+        real = shrinkage.eoptshrink
+        X = np.asfortranarray(np.random.default_rng(19).standard_normal((30, 120)))
+        cfg = PipelineConfig(K=40, k_local=5, seed=0)
+        given = np.column_stack((np.arange(120), global_metric(X, cfg).neighborhoods(cfg.K)))
+        failing = set(range(0, 120, 3))
+
+        def flaky(Xi, k):
+            i = int(np.flatnonzero(np.all(X == Xi[:, :1], axis=0))[0])
+            if i in failing:
+                raise shrinkage.ShrinkageError(f"stub reason {i % 2}")
+            return real(Xi, k=k)
+
+        monkeypatch.setattr(shrinkage, "eoptshrink", flaky)
+        patches = given.copy()
+        ranks, reasons = local_step(X, patches, cfg)
+        assert reasons == Counter(f"stub reason {i % 2}" for i in failing)
+        assert set(reasons.values()) == {20}
+        assert np.array_equal(patches[:, 0], np.arange(120))
+        assert np.array_equal(np.sort(patches, axis=1), np.sort(given, axis=1))
+        for i, patch in enumerate(given):
+            Xi = X[:, patch]
+            if i in failing:
+                assert ranks[i] == -1
+                d = np.linalg.norm(Xi - Xi[:, :1], axis=0)
+            else:
+                assert ranks[i] == real(Xi, k=cfg.k_imp).effective_rank >= 0
+                d = patch_distances(Xi, cfg)
+            assert np.array_equal(patches[i], patch[np.argsort(d, kind="stable")])
 
 
 class TestRecoverPoint:
@@ -422,10 +467,10 @@ class TestRosdos:
     def test_local_ties_keep_patch_order(self, monkeypatch):
         # equal local distances: each point takes itself and its first
         # k_local - 1 neighbors, in neighborhoods' order
-        def equal(Xi, cfg):
-            return np.zeros(Xi.shape[1]), 1, None
+        def equal(Xi, k):
+            return SimpleNamespace(coords=np.zeros((Xi.shape[1], 1)), effective_rank=1)
 
-        monkeypatch.setattr(pipeline, "_local_distances", equal)
+        monkeypatch.setattr(shrinkage, "eoptshrink", equal)
         X = np.random.default_rng(18).standard_normal((20, 90))
         cfg = PipelineConfig(K=30, k_local=6, seed=0)
         hoods = global_metric(X, cfg).neighborhoods(cfg.K)

@@ -233,6 +233,19 @@ class TestEoptShrink:
             o1.denoised
         )
 
+    @pytest.mark.parametrize("j", [100, pytest.param(300, marks=pytest.mark.xfail(
+        strict=True, reason=(
+            "from about 2^252 the squared Stieltjes gaps overflow: rank 3 is "
+            "found, no component is kept and denoised is all zeros; README "
+            "names this limit")))])
+    def test_power_of_two_scale_is_exact(self, j):
+        X = make_dataset(ManifoldSpec("m1", 60, 600, 0),
+                         NoiseSpec("separable", 0.5, 1)).noisy
+        o1, o2 = eoptshrink(X), eoptshrink(np.ldexp(X, j))
+        assert o1.kept.size == 3
+        assert np.array_equal(o2.kept, o1.kept)
+        assert np.array_equal(o2.denoised, np.ldexp(o1.denoised, j))
+
     def test_rotation_equivariance(self):
         X = self.spiked(seed=3)
         Q = random_orthogonal(X.shape[0], 99)
