@@ -94,7 +94,7 @@ def baseline_tsvd(X, r):
     return U @ (U.T @ X)
 
 
-def summarize(S, S_tilde, noise=None, timing=0.0, config=None):
+def summarize(S, S_tilde, noise=None):
     """Aggregate per-point NRMSE and noise statistics into a report dict, the
     record saved as JSON; its noise keys are None without noise."""
     errors = nrmse(S, S_tilde)
@@ -113,6 +113,4 @@ def summarize(S, S_tilde, noise=None, timing=0.0, config=None):
         "nrmse_mean": float(np.mean(errors)),
         "noise_ratio_median": ratio,
         "msnr_db": snr,
-        "wallclock_seconds": float(timing),
-        "config_echo": dict(config) if config else {},
     }

@@ -112,7 +112,6 @@ def kept_eigenvectors(gram, spectrum, index):
     rel_tol = 8 * math.sqrt(n) * eps
     tol = rel_tol * lam0
     U = np.empty((n, len(index)))
-    shifted = None
     try:
         for j, (i, lam) in enumerate(zip(index, spectrum[index])):
             if i == 0 and n > 1 and spectrum[1] < _POWER_RATIO_MAX * lam0:
@@ -127,10 +126,8 @@ def kept_eigenvectors(gram, spectrum, index):
                     if np.linalg.norm(gram @ x - lam * x) <= tol:
                         U[:, j] = x
                         continue
-            if shifted is None:
-                shifted = gram.copy()
-                diagonal = gram.diagonal().copy()
-            shifted.flat[::n + 1] = diagonal - (lam + 4 * eps * lam0)
+            shifted = gram.copy()
+            shifted.flat[::n + 1] -= lam + 4 * eps * lam0
             if i == 0:
                 x = np.full(n, 1 / np.sqrt(n))
             else:

@@ -70,7 +70,8 @@ class PipelineConfig:
 @dataclass
 class GlobalMetric:
     coords: np.ndarray          # n x q points whose Euclidean metric is d_global
-    shrink: object = None       # ShrinkageOutput from eoptshrink; None: diffusion
+    rank: int | None = None     # eoptshrink's effective rank; None: diffusion
+    notes: list = field(default_factory=list)  # Diagnostics.warnings
 
     def neighborhoods(self, K):
         """K nearest neighbor indices (excluding self) for every point,
@@ -126,10 +127,13 @@ def global_metric(X, cfg):
         D = pairwise_sq_dist(X, X[:, landmarks])
         h = cfg.h if cfg.h != "auto" else diffusion.auto_bandwidth(D)
         q = min(cfg.q_prime, min(n, landmarks.size) - 1)
+        notes = [f"embedding dimension cut from q_prime={cfg.q_prime} to {q}, "
+                 "one less than the landmark count"] if q < cfg.q_prime else []
         coords, _ = diffusion.roseland_embed(D, h, q, cfg.t)
-        return GlobalMetric(coords=coords)
+        return GlobalMetric(coords=coords, notes=notes)
     out = shrinkage.eoptshrink(X, k=cfg.k_imp)
-    return GlobalMetric(coords=out.coords, shrink=out)
+    return GlobalMetric(coords=out.coords, rank=out.effective_rank,
+                        notes=out.warnings)
 
 
 def local_step(X, patches, cfg):
@@ -202,23 +206,13 @@ def rosdos(X, cfg):
     recovered = recover_point(X, patches[:, :cfg.k_local])
     timings["recovery"] = time.perf_counter() - t0
 
-    if metric.shrink is None:  # roseland: the coordinates are the embedding
-        notes, global_rank, embedding_dim = [], None, metric.coords.shape[1]
-        if embedding_dim < cfg.q_prime:
-            notes.append(
-                f"embedding dimension cut from q_prime={cfg.q_prime} to "
-                f"{embedding_dim}, one less than the landmark count"
-            )
-    else:
-        notes = list(metric.shrink.warnings)
-        global_rank, embedding_dim = metric.shrink.effective_rank, None
     diag = Diagnostics(
-        global_effective_rank=global_rank,
+        global_effective_rank=metric.rank,
         local_ranks=local_ranks,
         fallbacks=sum(fallback_reasons.values()),
         fallback_reasons=dict(fallback_reasons),
-        embedding_dim=embedding_dim,
+        embedding_dim=metric.coords.shape[1] if metric.rank is None else None,
         timings=timings,
-        warnings=notes,
+        warnings=metric.notes,
     )
     return recovered, diag

@@ -238,7 +238,10 @@ class TestEvaluate:
              "--noisy", dataset / "noisy.csv", "--out", out])
         clean = storage.load_matrix(dataset / "clean.csv")
         noisy = storage.load_matrix(dataset / "noisy.csv")
-        assert storage.load_json(out) == summarize(clean, noisy, noise=noisy - clean)
+        disk = storage.load_json(out)
+        assert disk == summarize(clean, noisy, noise=noisy - clean)
+        assert set(disk) == {"nrmse", "nrmse_median", "nrmse_mean",
+                             "noise_ratio_median", "msnr_db"}
 
     def test_shape_mismatch_exit_two(self, tmp_path, dataset):
         small = tmp_path / "small.csv"
@@ -376,8 +379,8 @@ class TestExperiment:
 
     def test_baselines_share_one_shrinkage(self, tmp_path, monkeypatch):
         # tsvd and global-shrink reuse one whole-matrix shrinkage per cell, and
-        # every report is summarize's dict computed outside the CLI, less the
-        # wall-clock time
+        # every report is summarize's dict computed outside the CLI, plus the
+        # cell's config and wall-clock time
         out = tmp_path / "grid"
         cfg = {
             "p": 60, "n": 400,
@@ -414,8 +417,9 @@ class TestExperiment:
                 report = storage.load_json(
                     out / f"m1-{noise}-0.5" / f"report_{method}.json")
                 config = {"method": method, **dataclasses.asdict(pcfg)}
-                want = summarize(ds.clean, est, noise=ds.noise, config=config)
-                del report["wallclock_seconds"], want["wallclock_seconds"]
+                assert report.pop("config_echo") == config, (noise, method)
+                assert report.pop("wallclock_seconds") >= 0.0, (noise, method)
+                want = summarize(ds.clean, est, noise=ds.noise)
                 assert report == want, (noise, method)
 
     def test_cell_diagnostics_written(self, tmp_path):
@@ -539,7 +543,8 @@ class TestStorage:
         S = rng.standard_normal((20, 2000))
         noise = 0.3 * rng.standard_normal(S.shape)
         config = {"method": "raw", **dataclasses.asdict(PipelineConfig())}
-        return summarize(S, S + noise, noise, timing=1.25, config=config)
+        return {**summarize(S, S + noise, noise), "wallclock_seconds": 1.25,
+                "config_echo": config}
 
     @staticmethod
     def diagnostics_record():

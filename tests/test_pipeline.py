@@ -98,7 +98,10 @@ class TestGlobalMetric:
         X = np.ones((4, 10))
         cfg = PipelineConfig(h=1.0, K=5, k_local=2)
         m = global_metric(X, cfg)
-        assert m.shrink is None
+        assert m.rank is None
+        # n = 10 draws 3 landmarks, so q_prime = 10 is cut to 2
+        assert m.notes == ["embedding dimension cut from q_prime=10 to 2, "
+                           "one less than the landmark count"]
         assert metric_distance(m, 0, 9) == pytest.approx(0.0, abs=1e-8)
 
     def test_symmetry_nonnegativity(self):
@@ -127,8 +130,10 @@ class TestGlobalMetric:
     def test_global_shrink_noiseless_rank2(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((60, 2)) @ rng.standard_normal((2, 300))
-        m = global_metric(X, PipelineConfig(global_mode=MODE_GLOBAL_SHRINK, K=20, k_local=5))
-        assert m.shrink is not None
+        cfg = PipelineConfig(global_mode=MODE_GLOBAL_SHRINK, K=20, k_local=5)
+        m = global_metric(X, cfg)
+        assert m.rank == 2
+        assert m.notes == shrinkage.eoptshrink(X, k=cfg.k_imp).warnings
         for i, j in [(0, 1), (5, 200), (17, 99)]:
             raw = np.linalg.norm(X[:, i] - X[:, j])
             assert metric_distance(m, i, j) == pytest.approx(raw, rel=0.02)
