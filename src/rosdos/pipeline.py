@@ -9,8 +9,8 @@ import numpy as np
 
 from . import diffusion, shrinkage
 from .numerics import (
-    as_matrix, entrywise_median, is_integer, is_positive_finite, is_real,
-    pairwise_sq_dist)
+    as_matrix, binary_exponent, entrywise_median, is_integer,
+    is_positive_finite, is_real, pairwise_sq_dist)
 
 MODE_ROSELAND = "roseland"
 MODE_GLOBAL_SHRINK = "global-shrink"
@@ -70,8 +70,7 @@ class PipelineConfig:
 @dataclass
 class GlobalMetric:
     coords: np.ndarray          # n x q points whose Euclidean metric is d_global
-    rank: int | None = None     # eoptshrink's effective rank; None: diffusion
-    notes: list = field(default_factory=list)  # Diagnostics.warnings
+    report: dict = field(default_factory=dict)  # Diagnostics.global_report
 
     def neighborhoods(self, K):
         """K nearest neighbor indices (excluding self) for every point,
@@ -87,6 +86,8 @@ class GlobalMetric:
         P = self.coords.T
         if P.shape[0] == 0:  # rank 0: every distance is 0
             P = np.zeros((1, n))
+        # in power-of-two units, exact: no squared distance under- or overflows
+        P = np.ldexp(P, -binary_exponent(P))
         out = np.empty((n, K), dtype=int)
         for start in range(0, n, block):
             stop = min(start + block, n)
@@ -108,13 +109,11 @@ class GlobalMetric:
 
 @dataclass
 class Diagnostics:
-    global_effective_rank: int | None
+    global_report: dict         # GlobalMetric.report
     local_ranks: list
     fallbacks: int
-    fallback_reasons: dict = field(default_factory=dict)  # message -> count
-    embedding_dim: int | None = None    # diffusion coordinates used (roseland)
-    timings: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
+    fallback_reasons: dict      # message -> count
+    timings: dict
 
 
 def global_metric(X, cfg):
@@ -127,13 +126,13 @@ def global_metric(X, cfg):
         D = pairwise_sq_dist(X, X[:, landmarks])
         h = cfg.h if cfg.h != "auto" else diffusion.auto_bandwidth(D)
         q = min(cfg.q_prime, min(n, landmarks.size) - 1)
-        notes = [f"embedding dimension cut from q_prime={cfg.q_prime} to {q}, "
-                 "one less than the landmark count"] if q < cfg.q_prime else []
-        coords, _ = diffusion.roseland_embed(D, h, q, cfg.t)
-        return GlobalMetric(coords=coords, notes=notes)
+        coords, spectrum = diffusion.roseland_embed(D, h, q, cfg.t)
+        return GlobalMetric(coords, {"h": h, "landmarks": landmarks.size,
+                                     "embedding_spectrum": spectrum.tolist()})
     out = shrinkage.eoptshrink(X, k=cfg.k_imp)
-    return GlobalMetric(coords=out.coords, rank=out.effective_rank,
-                        notes=out.warnings)
+    return GlobalMetric(out.coords, {"effective_rank": out.effective_rank,
+                                     "bulk_edge": out.bulk_edge,
+                                     "warnings": out.warnings})
 
 
 def local_step(X, patches, cfg):
@@ -207,12 +206,10 @@ def rosdos(X, cfg):
     timings["recovery"] = time.perf_counter() - t0
 
     diag = Diagnostics(
-        global_effective_rank=metric.rank,
+        global_report=metric.report,
         local_ranks=local_ranks,
         fallbacks=sum(fallback_reasons.values()),
         fallback_reasons=dict(fallback_reasons),
-        embedding_dim=metric.coords.shape[1] if metric.rank is None else None,
         timings=timings,
-        warnings=metric.notes,
     )
     return recovered, diag

@@ -122,6 +122,9 @@ class TestDenoise:
         diag = storage.load_json(out / "diagnostics.json")
         assert diag["config"]["global_mode"] == "roseland"
         assert "timings" in diag and "config" in diag
+        assert set(diag) == {"global_report", "local_ranks", "fallbacks",
+                             "fallback_reasons", "timings", "config",
+                             "wallclock_seconds"}
 
     def test_invalid_k_exit_two(self, tmp_path, dataset, capsys):
         code = run(
@@ -436,8 +439,7 @@ class TestExperiment:
         path.write_text(json.dumps(cfg))
         assert run(["experiment", "--config", path, "--out", out]) == EXIT_OK
         diag = storage.load_json(out / "m1-gaussian-0" / "diagnostics.json")
-        assert diag["embedding_dim"] == 19
-        assert any("q_prime=50 to 19" in w for w in diag["warnings"])
+        assert len(diag["global_report"]["embedding_spectrum"]) == 19
         assert diag["baseline_warnings"] == ["effective rank 0: denoised matrix is zero"]
         assert diag["config"]["seed"] == cli._cell_seed(4, "m1-gaussian-0")
         assert len(diag["local_ranks"]) == 400
@@ -447,7 +449,7 @@ class TestExperiment:
         assert run(["experiment", "--config", self.small_config(tmp_path),
                     "--out", small]) == EXIT_OK
         diag = storage.load_json(small / "m1-gaussian-1" / "diagnostics.json")
-        assert "baseline_warnings" not in diag and diag["warnings"] == []
+        assert "baseline_warnings" not in diag and "warnings" not in diag
 
     def test_failing_cell_recorded(self, tmp_path, monkeypatch):
         # a cell that fails at run time is recorded, and the others still run
@@ -549,11 +551,11 @@ class TestStorage:
     @staticmethod
     def diagnostics_record():
         diag = Diagnostics(
-            global_effective_rank=None,
+            global_report={"h": 0.5, "landmarks": 5,
+                           "embedding_spectrum": [0.75, 0.5, 0.25, 0.125]},
             local_ranks=[1, 2, -1, 3] * 50, fallbacks=1,
             fallback_reasons={"matrix too small: min(p,n)=3 must exceed 21": 1},
-            embedding_dim=4, timings={"recovery": 0.125, "neighborhoods": 1e-3},
-            warnings=["embedding dimension cut from q_prime=50 to 4"])
+            timings={"recovery": 0.125, "neighborhoods": 1e-3})
         return {**dataclasses.asdict(diag),
                 "config": dataclasses.asdict(PipelineConfig(h=0.5)),
                 "wallclock_seconds": 2.5}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from reference import reference_neighborhoods, reference_rosdos, svd_reference
-from rosdos import pipeline, shrinkage
+from rosdos import diffusion, pipeline, shrinkage
 from rosdos.evaluation import nrmse
 from rosdos.numerics import pairwise_sq_dist
 from rosdos.pipeline import (
@@ -98,10 +98,10 @@ class TestGlobalMetric:
         X = np.ones((4, 10))
         cfg = PipelineConfig(h=1.0, K=5, k_local=2)
         m = global_metric(X, cfg)
-        assert m.rank is None
+        assert set(m.report) == {"h", "landmarks", "embedding_spectrum"}
+        assert m.report["h"] == 1.0 and m.report["landmarks"] == 3
         # n = 10 draws 3 landmarks, so q_prime = 10 is cut to 2
-        assert m.notes == ["embedding dimension cut from q_prime=10 to 2, "
-                           "one less than the landmark count"]
+        assert len(m.report["embedding_spectrum"]) == 2
         assert metric_distance(m, 0, 9) == pytest.approx(0.0, abs=1e-8)
 
     def test_symmetry_nonnegativity(self):
@@ -132,18 +132,22 @@ class TestGlobalMetric:
         X = rng.standard_normal((60, 2)) @ rng.standard_normal((2, 300))
         cfg = PipelineConfig(global_mode=MODE_GLOBAL_SHRINK, K=20, k_local=5)
         m = global_metric(X, cfg)
-        assert m.rank == 2
-        assert m.notes == shrinkage.eoptshrink(X, k=cfg.k_imp).warnings
+        out = shrinkage.eoptshrink(X, k=cfg.k_imp)
+        assert m.report == {"effective_rank": 2, "bulk_edge": out.bulk_edge,
+                            "warnings": out.warnings}
         for i, j in [(0, 1), (5, 200), (17, 99)]:
             raw = np.linalg.norm(X[:, i] - X[:, j])
             assert metric_distance(m, i, j) == pytest.approx(raw, rel=0.02)
 
-    def test_neighborhoods_match_bruteforce(self, monkeypatch):
-        rng = np.random.default_rng(2)
-        m = GlobalMetric(coords=rng.standard_normal((50, 3)))
+    @pytest.mark.parametrize("j", [0, -600, 511, 1000])
+    def test_neighborhoods_match_bruteforce(self, monkeypatch, j):
+        # scaled by 2^j, where the raw squared distances under- or overflow,
+        # the neighbours are those of the unscaled points
+        coords = np.random.default_rng(2).standard_normal((50, 3))
+        m = GlobalMetric(coords=np.ldexp(coords, j))
         hoods = blocked_neighborhoods(monkeypatch, m, 7, 16)
         for i in range(50):
-            d = np.linalg.norm(m.coords - m.coords[i], axis=1)
+            d = np.linalg.norm(coords - coords[i], axis=1)
             order = np.argsort(d, kind="stable")
             ref = order[order != i][:7]
             assert np.array_equal(hoods[i], ref)
@@ -520,26 +524,30 @@ class TestRosdos:
 
     def test_embedding_dim_reported(self):
         X = np.random.default_rng(14).standard_normal((30, 64))
-        _, diag = rosdos(X, PipelineConfig(q_prime=50, K=30, k_local=5, seed=0))
-        assert diag.embedding_dim == 7
-        assert any("q_prime=50 to 7" in w for w in diag.warnings)
-        _, diag = rosdos(X, PipelineConfig(q_prime=5, K=30, k_local=5, seed=0))
-        assert diag.embedding_dim == 5
-        assert diag.warnings == []
+        # 8 landmarks: q_prime = 50 is cut to 7, q_prime = 5 is kept
+        for q_prime, q in [(50, 7), (5, 5)]:
+            cfg = PipelineConfig(q_prime=q_prime, K=30, k_local=5, seed=0)
+            report = rosdos(X, cfg)[1].global_report
+            D = pairwise_sq_dist(
+                X, X[:, diffusion.select_landmarks(X, cfg.gamma, cfg.seed)])
+            assert report["h"] == diffusion.auto_bandwidth(D)
+            assert len(report["embedding_spectrum"]) == q
+            assert report["embedding_spectrum"] == diffusion.roseland_embed(
+                D, report["h"], q, cfg.t)[1].tolist()
         cfg = PipelineConfig(global_mode=MODE_SHRINK_ONLY, K=30, k_local=5)
-        assert rosdos(X, cfg)[1].embedding_dim is None
+        assert "embedding_spectrum" not in rosdos(X, cfg)[1].global_report
 
     def test_global_effective_rank_reported(self):
         rng = np.random.default_rng(17)
         X = (rng.standard_normal((40, 3)) @ rng.standard_normal((3, 200))
              + 0.3 * rng.standard_normal((40, 200)))
         cfg = PipelineConfig(K=30, k_local=5, k_imp=4, seed=0)
-        assert rosdos(X, cfg)[1].global_effective_rank is None
+        assert "effective_rank" not in rosdos(X, cfg)[1].global_report
         rank = shrinkage.eoptshrink(X, k=cfg.k_imp).effective_rank
         assert rank == 3
         for mode in (MODE_GLOBAL_SHRINK, MODE_SHRINK_ONLY):
             cfg.global_mode = mode
-            assert rosdos(X, cfg)[1].global_effective_rank == rank
+            assert rosdos(X, cfg)[1].global_report["effective_rank"] == rank
 
     def test_duplicate_dataset_exact(self):
         rng = np.random.default_rng(6)
@@ -610,8 +618,8 @@ class TestRosdos:
         X = rng.standard_normal((40, 12)) @ rng.standard_normal((12, 300))
         _, diag = rosdos(X, PipelineConfig(global_mode=mode, K=30, k_local=5))
         note = "SVD taken: ill-conditioned Gram"
-        assert note in diag.warnings
-        assert note in dataclasses.asdict(diag)["warnings"]
+        assert note in diag.global_report["warnings"]
+        assert note in dataclasses.asdict(diag)["global_report"]["warnings"]
 
     @pytest.mark.parametrize("t", [1e3, 1e6])
     def test_underflowing_diffusion_time_rejected(self, t):
