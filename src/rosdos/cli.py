@@ -104,7 +104,9 @@ def cmd_denoise(args):
     storage.save_matrix(os.path.join(out, "denoised.csv"), denoised,
                         {"config": dataclasses.asdict(cfg)})
     _save_diagnostics(out, diag, cfg, wallclock_seconds=elapsed)
-    print(f"denoised {X.shape[0]}x{X.shape[1]} in {elapsed:.1f}s")
+    notes = sum(diag.local_report.get("notes", {}).values())
+    print(f"denoised {X.shape[0]}x{X.shape[1]} in {elapsed:.1f}s; "
+          f"{diag.fallbacks} patch fallbacks, {notes} patch notes")
     return EXIT_OK
 
 

@@ -112,7 +112,7 @@ class Diagnostics:
     global_report: dict         # GlobalMetric.report
     local_ranks: list
     fallbacks: int
-    fallback_reasons: dict      # message -> count
+    local_report: dict          # local_step's record; {} in shrink-only mode
     timings: dict
 
 
@@ -137,22 +137,23 @@ def global_metric(X, cfg):
 
 def local_step(X, patches, cfg):
     """Step 2: stably sort each row of the n x (K+1) patches in place by its
-    eoptshrink distances from column 0; return (ranks, Counter of reasons).
-    A patch that raises ShrinkageError sorts by raw distance, with rank -1."""
+    eoptshrink distances from column 0, or raw ones (rank -1) if it raises
+    ShrinkageError; return (ranks, {"fallback_reasons": .., "notes": ..})."""
     Xf = np.asfortranarray(X)  # sample-major: each column one read
-    local_ranks, reasons = [], Counter()
+    local_ranks, reasons, notes = [], Counter(), Counter()
     for patch in patches:
         Xi = Xf[:, patch]
         try:
             out = shrinkage.eoptshrink(Xi, k=cfg.k_imp)
             d = np.linalg.norm(out.coords - out.coords[0], axis=1)
             local_ranks.append(out.effective_rank)
+            notes.update(out.warnings)
         except shrinkage.ShrinkageError as exc:
             d = np.linalg.norm(Xi - Xi[:, :1], axis=0)
             local_ranks.append(-1)
             reasons[str(exc)] += 1
         patch[:] = patch[np.argsort(d, kind="stable")]
-    return local_ranks, reasons
+    return local_ranks, {"fallback_reasons": dict(reasons), "notes": dict(notes)}
 
 
 def recover_point(X, neighbors):
@@ -198,8 +199,8 @@ def rosdos(X, cfg):
 
     patches = np.column_stack((np.arange(n), hoods))
     t0 = time.perf_counter()
-    local_ranks, fallback_reasons = (
-        ([], Counter()) if skip_local else local_step(X, patches, cfg))
+    local_ranks, local_report = (
+        ([], {}) if skip_local else local_step(X, patches, cfg))
     timings["local"] = 0.0 if skip_local else time.perf_counter() - t0
     t0 = time.perf_counter()
     recovered = recover_point(X, patches[:, :cfg.k_local])
@@ -208,8 +209,8 @@ def rosdos(X, cfg):
     diag = Diagnostics(
         global_report=metric.report,
         local_ranks=local_ranks,
-        fallbacks=sum(fallback_reasons.values()),
-        fallback_reasons=dict(fallback_reasons),
+        fallbacks=local_ranks.count(-1),
+        local_report=local_report,
         timings=timings,
     )
     return recovered, diag

@@ -264,8 +264,11 @@ def reference_rosdos(X, cfg, shrink):
     a full stable argsort. Each patch, the point and then its neighbours, is
     ordered by a stable argsort of the distances from column 0: in
     shrink(patch).coords, in the raw patch with rank -1 where shrink raises
-    ShrinkageError, or in the step-1 coordinates in shrink-only mode. Step 3 is np.median over the first k_local. Returns denoised,
-    selected (n x k_local), local_ranks and fallback_reasons in a namespace."""
+    ShrinkageError, or in the step-1 coordinates in shrink-only mode. Step 3
+    is np.median over the first k_local. Returns denoised, selected
+    (n x k_local), local_ranks and local_report in a namespace; local_report
+    counts the patches by fallback reason and by each note in the shrinker's
+    warnings (where it returns them), and is {} in shrink-only mode."""
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
     if cfg.global_mode == MODE_ROSELAND:
@@ -274,7 +277,7 @@ def reference_rosdos(X, cfg, shrink):
         coords = shrink(X, k=cfg.k_imp).coords
     hoods = reference_neighborhoods(coords, cfg.K, n)
     selected = np.empty((n, cfg.k_local), dtype=int)
-    ranks, reasons = [], Counter()
+    ranks, reasons, notes = [], Counter(), Counter()
     for i in range(n):
         patch = np.concatenate([[i], hoods[i]])
         if cfg.global_mode == MODE_SHRINK_ONLY:
@@ -285,14 +288,18 @@ def reference_rosdos(X, cfg, shrink):
                 out = shrink(Xi, k=cfg.k_imp)
                 d = np.linalg.norm(out.coords - out.coords[0], axis=1)
                 ranks.append(out.effective_rank)
+                for note in getattr(out, "warnings", ()):
+                    notes[note] += 1
             except ShrinkageError as exc:
                 d = np.linalg.norm(Xi - Xi[:, :1], axis=0)
                 ranks.append(-1)
                 reasons[str(exc)] += 1
         selected[i] = patch[np.argsort(d, kind="stable")[:cfg.k_local]]
+    report = ({} if cfg.global_mode == MODE_SHRINK_ONLY
+              else {"fallback_reasons": dict(reasons), "notes": dict(notes)})
     return SimpleNamespace(
         denoised=np.median(X[:, selected], axis=2), selected=selected,
-        local_ranks=ranks, fallback_reasons=dict(reasons))
+        local_ranks=ranks, local_report=report)
 
 
 # separable noise

@@ -112,8 +112,9 @@ class TestDenoise:
         denoised = storage.load_matrix(out / "denoised.csv")
         assert np.array_equal(noisy, denoised)
 
-    def test_roseland_smoke(self, tmp_path, dataset):
+    def test_roseland_smoke(self, tmp_path, dataset, capsys):
         out = tmp_path / "den"
+        capsys.readouterr()
         code = run(
             ["denoise", "--input", dataset / "noisy.csv", "--mode", "roseland",
              "--K", 50, "--k", 10, "--out", out]
@@ -123,8 +124,14 @@ class TestDenoise:
         assert diag["config"]["global_mode"] == "roseland"
         assert "timings" in diag and "config" in diag
         assert set(diag) == {"global_report", "local_ranks", "fallbacks",
-                             "fallback_reasons", "timings", "config",
+                             "local_report", "timings", "config",
                              "wallclock_seconds"}
+        assert set(diag["local_report"]) == {"fallback_reasons", "notes"}
+        # the one result line on stdout ends with what step 2 did
+        line = capsys.readouterr().out
+        notes = sum(diag["local_report"]["notes"].values())
+        assert line.startswith("denoised 60x300 in ") and line.endswith(
+            f"s; {diag['fallbacks']} patch fallbacks, {notes} patch notes\n")
 
     def test_invalid_k_exit_two(self, tmp_path, dataset, capsys):
         code = run(
@@ -554,7 +561,10 @@ class TestStorage:
             global_report={"h": 0.5, "landmarks": 5,
                            "embedding_spectrum": [0.75, 0.5, 0.25, 0.125]},
             local_ranks=[1, 2, -1, 3] * 50, fallbacks=1,
-            fallback_reasons={"matrix too small: min(p,n)=3 must exceed 21": 1},
+            local_report={
+                "fallback_reasons": {"matrix too small: min(p,n)=3 must exceed 21": 1},
+                "notes": {"component 1 dropped: degenerate shrinkage for "
+                          "component 1: a1*a2=-0.5": 2}},
             timings={"recovery": 0.125, "neighborhoods": 1e-3})
         return {**dataclasses.asdict(diag),
                 "config": dataclasses.asdict(PipelineConfig(h=0.5)),

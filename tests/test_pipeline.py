@@ -231,8 +231,11 @@ class TestLocalDenoise:
         assert dists.shape == (41,)
         assert np.allclose(dists, 0.0, atol=1e-8)
         patches = patch[None].copy()
-        ranks, reasons = local_step(X, patches, cfg)
-        assert ranks == [1] and not reasons
+        ranks, record = local_step(X, patches, cfg)
+        assert ranks == [1]
+        # rank 1 exactly: the Gram matrix is ill-conditioned
+        assert record == {"fallback_reasons": {},
+                          "notes": {"SVD taken: ill-conditioned Gram": 1}}
         assert np.array_equal(patches[0], patch)  # all ties: patch order
 
     def test_noiseless_planar_patch(self):
@@ -244,8 +247,9 @@ class TestLocalDenoise:
         cfg = PipelineConfig(global_mode=MODE_GLOBAL_SHRINK, K=39, k_local=5)
         dists = patch_distances(X, cfg)
         patches = np.arange(40)[None]
-        (rank,), fell_back = local_step(X, patches, cfg)
-        assert not fell_back
+        (rank,), record = local_step(X, patches, cfg)
+        assert record == {"fallback_reasons": {},
+                          "notes": {"SVD taken: ill-conditioned Gram": 1}}
         assert rank <= 3
         assert np.array_equal(patches[0], np.argsort(dists, kind="stable"))
         raw = np.linalg.norm(X - X[:, :1], axis=0)
@@ -266,8 +270,8 @@ class TestLocalDenoise:
         d_raw = np.linalg.norm(X[:, patches] - X[:, points, None], axis=0)
         sel_raw = np.take_along_axis(
             patches, np.argsort(d_raw, axis=1, kind="stable"), axis=1)[:, : cfg.k_local]
-        _, fell_back = local_step(X, patches, cfg)
-        assert not fell_back
+        _, record = local_step(X, patches, cfg)
+        assert record["fallback_reasons"] == {}
         sel_sh = patches[:, : cfg.k_local]
         sh_ang = angdist(theta[sel_sh], theta[points, None]).mean(axis=1)
         raw_ang = angdist(theta[sel_raw], theta[points, None]).mean(axis=1)
@@ -287,11 +291,17 @@ class TestLocalDenoise:
                 raise shrinkage.ShrinkageError(f"stub reason {i % 2}")
             return real(Xi, k=k)
 
+        # the notes of the rows that shrink, from a copy: local_step
+        # reorders the rows in place
+        notes = Counter(note for i, patch in enumerate(given) if i not in failing
+                        for note in real(X[:, patch], k=cfg.k_imp).warnings)
         monkeypatch.setattr(shrinkage, "eoptshrink", flaky)
         patches = given.copy()
-        ranks, reasons = local_step(X, patches, cfg)
+        ranks, record = local_step(X, patches, cfg)
+        reasons = record["fallback_reasons"]
         assert reasons == Counter(f"stub reason {i % 2}" for i in failing)
         assert set(reasons.values()) == {20}
+        assert notes and record["notes"] == notes
         assert np.array_equal(patches[:, 0], np.arange(120))
         assert np.array_equal(np.sort(patches, axis=1), np.sort(given, axis=1))
         for i, patch in enumerate(given):
@@ -436,8 +446,11 @@ class TestRosdos:
         X = np.asarray(X, order=order)
         for k_local in (10, 7):
             cfg = PipelineConfig(global_mode=mode, K=40, k_local=k_local, seed=0)
-            St, _ = rosdos(X, cfg)
-            assert np.array_equal(St, reference_rosdos(X, cfg, shrinkage.eoptshrink).denoised)
+            St, diag = rosdos(X, cfg)
+            ref = reference_rosdos(X, cfg, shrinkage.eoptshrink)
+            assert np.array_equal(St, ref.denoised)
+            assert diag.local_ranks == ref.local_ranks
+            assert diag.local_report == ref.local_report
 
     @pytest.mark.parametrize("mode", [MODE_ROSELAND, MODE_SHRINK_ONLY])
     def test_same_output_for_every_layout(self, mode):
@@ -454,7 +467,7 @@ class TestRosdos:
             St, diag = rosdos(Y, cfg)
             assert St.tobytes() == ref.tobytes()
             assert diag.local_ranks == ref_diag.local_ranks
-            assert diag.fallback_reasons == ref_diag.fallback_reasons
+            assert diag.local_report == ref_diag.local_report
         assert rosdos(np.asfortranarray(X), cfg)[0].flags.f_contiguous
 
     @pytest.mark.parametrize("mode", [MODE_ROSELAND, MODE_SHRINK_ONLY])
@@ -477,13 +490,15 @@ class TestRosdos:
         # equal local distances: each point takes itself and its first
         # k_local - 1 neighbors, in neighborhoods' order
         def equal(Xi, k):
-            return SimpleNamespace(coords=np.zeros((Xi.shape[1], 1)), effective_rank=1)
+            return SimpleNamespace(coords=np.zeros((Xi.shape[1], 1)), effective_rank=1,
+                                   warnings=[])
 
         monkeypatch.setattr(shrinkage, "eoptshrink", equal)
         X = np.random.default_rng(18).standard_normal((20, 90))
         cfg = PipelineConfig(K=30, k_local=6, seed=0)
         hoods = global_metric(X, cfg).neighborhoods(cfg.K)
-        St, _ = rosdos(X, cfg)
+        St, diag = rosdos(X, cfg)
+        assert diag.local_report == {"fallback_reasons": {}, "notes": {}}
         for i in range(90):
             sel = np.concatenate([[i], hoods[i][: cfg.k_local - 1]])
             assert np.array_equal(St[:, i], np.median(X[:, sel], axis=1))
@@ -509,8 +524,9 @@ class TestRosdos:
         X = np.sqrt(1e307 / 40) + 1e150 * rng.standard_normal((40, 200))
         St, diag = rosdos(X, PipelineConfig(K=30, k_local=5, seed=0))
         assert diag.fallbacks == 200
-        [(reason, count)] = diag.fallback_reasons.items()
+        [(reason, count)] = diag.local_report["fallback_reasons"].items()
         assert reason.startswith("non-finite spectrum") and count == 200
+        assert diag.local_report["notes"] == {}
         assert np.all(np.isfinite(St))
 
     def test_fallback_reasons_recorded(self):
@@ -518,9 +534,31 @@ class TestRosdos:
         _, diag = rosdos(X, PipelineConfig(K=30, k_local=5, seed=0))
         assert diag.fallbacks == 200
         assert diag.local_ranks == [-1] * 200
-        [(reason, count)] = diag.fallback_reasons.items()
+        [(reason, count)] = diag.local_report["fallback_reasons"].items()
         assert reason.startswith("matrix too small") and count == 200
-        assert dataclasses.asdict(diag)["fallback_reasons"] == {reason: 200}
+        assert dataclasses.asdict(diag)["local_report"] == {
+            "fallback_reasons": {reason: 200}, "notes": {}}
+
+    def test_dropped_components_noted(self, monkeypatch):
+        # under heavy noise some patch shrinkages drop a component; each
+        # drop is one note, counted once per patch
+        outputs = []
+        real = shrinkage.eoptshrink
+
+        def keep(X, **kwargs):
+            outputs.append(real(X, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(shrinkage, "eoptshrink", keep)
+        X = make_dataset(ManifoldSpec("m1", 60, 800, 3), NoiseSpec("gaussian", 1 / 3, 4)).noisy
+        _, diag = rosdos(X, PipelineConfig(K=100, k_local=20, seed=0))
+        assert len(outputs) == 800 and diag.fallbacks == 0
+        dropped = Counter(f"component {i} dropped" for out in outputs
+                          for i in range(out.effective_rank) if i not in out.kept)
+        notes = diag.local_report["notes"]
+        assert diag.local_report["fallback_reasons"] == {}
+        assert {note.split(":")[0]: count for note, count in notes.items()} == dropped
+        assert dropped == {"component 1 dropped": 6, "component 2 dropped": 2}
 
     def test_embedding_dim_reported(self):
         X = np.random.default_rng(14).standard_normal((30, 64))

@@ -686,7 +686,7 @@ class TestAgainstEighReference:
         ref = reference_rosdos(X, cfg, eigh_reference)
         assert np.array_equal(St, ref.denoised)
         assert diag.local_ranks == ref.local_ranks
-        assert diag.fallback_reasons == ref.fallback_reasons
+        assert diag.local_report == ref.local_report
 
 
 class TestLazyDenoised:
